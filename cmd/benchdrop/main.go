@@ -46,7 +46,6 @@ func main() {
 		duration      = flag.Duration("duration", 30*time.Second, "per-session length for -exp scenarios")
 		gridKind      = flag.String("grid", "default", "frontier sweep grid: default | small")
 		listScenarios = flag.Bool("list-scenarios", false, "list the built-in scenario presets and fleet populations, then exit")
-		schedImp      = flag.String("sched", "wheel", "scheduler implementation: wheel | heap (output is identical for either)")
 		cpuprof       = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 		memprof       = flag.String("memprofile", "", "write a post-run heap profile to this file")
 	)
@@ -100,11 +99,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	sched, err := cli.ParseSched(*schedImp)
-	if err != nil {
-		fatal(err)
-	}
-	r.Sched = sched
 	if *cpuprof != "" {
 		stop, err := cli.StartCPUProfile(*cpuprof)
 		if err != nil {

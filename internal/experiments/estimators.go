@@ -82,7 +82,7 @@ func (r *Runner) Figure8(seeds []int64) []Figure8Row {
 		if err := cfg.Validate(); err != nil {
 			panic(fmt.Sprintf("experiments: bad figure8 config: %v", err))
 		}
-		res := r.run(cfg)
+		res := session.Run(cfg)
 		post := metrics.Summarize(res.Records, dropAt, dropAt+5*time.Second, res.FrameInterval)
 		late := metrics.Summarize(res.Records, 20*time.Second, 30*time.Second, res.FrameInterval)
 		return sample{

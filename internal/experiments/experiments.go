@@ -142,7 +142,7 @@ func attachController(cfg *session.Config, kind ControllerKind, adaptiveCfg core
 // runDrop executes one drop scenario under one controller kind.
 func (r *Runner) runDrop(sc DropScenario, kind ControllerKind, seed int64) session.Result {
 	tr := trace.StepDrop(sc.Before, sc.After, sc.DropAt)
-	return r.run(buildConfig(tr, sc.Content, kind, seed, sc.DropAt+20*time.Second, core.AdaptiveConfig{}))
+	return session.Run(buildConfig(tr, sc.Content, kind, seed, sc.DropAt+20*time.Second, core.AdaptiveConfig{}))
 }
 
 // PostDropWindow is the analysis window after the drop used across

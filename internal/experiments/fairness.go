@@ -78,7 +78,7 @@ func (r *Runner) Figure7(seeds []int64) []Figure7Row {
 	}, func(i int) sample {
 		c := cells[i]
 		results := session.RunShared(
-			session.SharedConfig{Trace: trace.Constant(3e6), Seed: c.seed + 500, Sched: r.sched()},
+			session.SharedConfig{Trace: trace.Constant(3e6), Seed: c.seed + 500},
 			[]session.Config{
 				{
 					Duration: 30 * time.Second, Seed: c.seed,

@@ -110,7 +110,7 @@ func (r *Runner) Frontier(g scenario.Grid, seeds []int64) (FrontierResult, error
 		if err != nil {
 			panic(fmt.Sprintf("experiments: frontier cell %q: %v", c.point.Scenario.Name, err))
 		}
-		res := r.run(buildPathConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration))
+		res := session.Run(buildPathConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration))
 		dropAt := c.point.Scenario.Phases[0].Duration
 		windowEnd := dropAt + c.point.DropDur + PostDropWindow
 		return metrics.Summarize(res.Records, dropAt, windowEnd, res.FrameInterval).P95NetDelay.Seconds()
@@ -281,7 +281,7 @@ func (r *Runner) ScenarioTable(scenarios []scenario.Scenario, kinds []Controller
 		if err != nil {
 			panic(fmt.Sprintf("experiments: scenario %q: %v", c.sc.Name, err))
 		}
-		res := r.run(buildPathConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration))
+		res := session.Run(buildPathConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration))
 		return metrics.SummarizeAll(res.Records, res.FrameInterval)
 	})
 

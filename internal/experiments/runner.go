@@ -3,9 +3,6 @@ package experiments
 import (
 	"runtime"
 	"sync"
-
-	"rtcadapt/internal/session"
-	"rtcadapt/internal/simtime"
 )
 
 // Runner executes an experiment's cells — every (scenario, controller,
@@ -29,29 +26,6 @@ type Runner struct {
 	// serialized (never concurrent) but, under parallelism, arrive in
 	// completion order, not cell order.
 	Progress func(done, total int, label string)
-	// Sched selects the virtual-time queue implementation for every
-	// session the runner spawns. Output is byte-identical for either
-	// implementation; the field exists so differential tests and
-	// benchmarks can run the whole suite under both.
-	Sched simtime.Config
-}
-
-// sched resolves the scheduler configuration; a nil runner uses the
-// default implementation.
-func (r *Runner) sched() simtime.Config {
-	if r == nil {
-		return simtime.Config{}
-	}
-	return r.Sched
-}
-
-// run executes one session cell under the runner's scheduler
-// configuration. Every experiment cell goes through here (or through
-// r.sched() for the shared-scheduler harnesses) so a Runner's Sched
-// choice covers the full suite.
-func (r *Runner) run(cfg session.Config) session.Result {
-	cfg.Sched = r.sched()
-	return session.Run(cfg)
 }
 
 // workers resolves the effective pool size.

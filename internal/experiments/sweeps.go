@@ -6,6 +6,7 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
+	"rtcadapt/internal/session"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
 	"rtcadapt/internal/video"
@@ -260,7 +261,7 @@ func (r *Runner) Table3(seeds []int64) []Table3Row {
 	}, func(i int) sample {
 		c := cells[i]
 		tr := trace.StepDrop(sc.Before, sc.After, sc.DropAt)
-		res := r.run(buildConfig(tr, sc.Content, KindAdaptive, c.seed,
+		res := session.Run(buildConfig(tr, sc.Content, KindAdaptive, c.seed,
 			sc.DropAt+20*time.Second, variants[c.variant].cfg))
 		return sample{p95: postDrop(sc, res).P95NetDelay.Seconds(), ssim: res.Report.MeanSSIM}
 	})
@@ -367,7 +368,7 @@ func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 		return fmt.Sprintf("figure4 %s/%s %s seed=%d", c.gen.name, c.content, c.kind, c.seed)
 	}, func(i int) sample {
 		c := cells[i]
-		res := r.run(buildConfig(c.gen.gen(c.seed), c.content, c.kind, c.seed,
+		res := session.Run(buildConfig(c.gen.gen(c.seed), c.content, c.kind, c.seed,
 			60*time.Second, core.AdaptiveConfig{}))
 		return sample{
 			p95:    res.Report.P95NetDelay.Seconds(),

@@ -3,16 +3,15 @@ package fleet
 import (
 	"testing"
 	"time"
-
-	"rtcadapt/internal/simtime"
 )
 
-// benchFleet runs the whole-fleet throughput benchmark on the given
-// scheduler implementation: N two-second mixed-scenario sessions sharded
-// over the worker pool. One iteration runs a complete fleet, so ns/op is
-// the wall-clock cost of the population and the sessions/s custom metric
-// is the figure EXPERIMENTS.md tracks for the 100k-session record.
-func benchFleet(b *testing.B, sched simtime.Config) {
+// BenchmarkFleet runs the whole-fleet throughput benchmark: N two-second
+// mixed-scenario sessions sharded over the worker pool. One iteration
+// runs a complete fleet, so ns/op is the wall-clock cost of the
+// population and the sessions/s custom metric is the figure
+// EXPERIMENTS.md tracks for the 100k-session record. The committed
+// baseline (`make bench-json`) gates it in `make fleet-smoke`.
+func BenchmarkFleet(b *testing.B) {
 	build, err := ScenarioBuild("mixed", 2*time.Second)
 	if err != nil {
 		b.Fatal(err)
@@ -26,7 +25,6 @@ func benchFleet(b *testing.B, sched simtime.Config) {
 			Shards:   8,
 			Seed:     1,
 			Build:    build,
-			Sched:    sched,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -41,11 +39,3 @@ func benchFleet(b *testing.B, sched simtime.Config) {
 		b.ReportMetric(float64(sessions)/perFleet.Seconds(), "sessions/s")
 	}
 }
-
-// BenchmarkFleet is the production configuration (timer wheel). Wired
-// into the benchjson baseline (BENCH_10.json) via `make bench-json`.
-func BenchmarkFleet(b *testing.B) { benchFleet(b, simtime.Config{}) }
-
-// BenchmarkFleetHeap is the same fleet on the binary-heap scheduler, kept
-// as the differential reference for the wheel's win.
-func BenchmarkFleetHeap(b *testing.B) { benchFleet(b, simtime.Config{Impl: simtime.ImplHeap}) }

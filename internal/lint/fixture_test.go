@@ -5,25 +5,43 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // fixturePrefix is the import-path root the fixture tree is loaded under.
 const fixturePrefix = "fixture"
 
+// fixtures caches the one load of testdata/src shared by every fixture
+// test in the binary: type-checking the tree (stdlib sources included)
+// dominates each test's run time, and the analyzers only read it.
+var fixtures struct {
+	once   sync.Once
+	loader *Loader
+	byPath map[string]*Package
+	err    error
+}
+
 // loadFixtures loads testdata/src once per test binary.
 func loadFixtures(t *testing.T) (*Loader, map[string]*Package) {
 	t.Helper()
-	loader := NewLoader()
-	pkgs, err := loader.LoadModule(filepath.Join("testdata", "src"), fixturePrefix)
-	if err != nil {
-		t.Fatalf("loading fixtures: %v", err)
+	fixtures.once.Do(func() {
+		loader := NewLoader()
+		pkgs, err := loader.LoadModule(filepath.Join("testdata", "src"), fixturePrefix)
+		if err != nil {
+			fixtures.err = err
+			return
+		}
+		byPath := make(map[string]*Package, len(pkgs))
+		for _, p := range pkgs {
+			byPath[p.Path] = p
+		}
+		fixtures.loader, fixtures.byPath = loader, byPath
+	})
+	if fixtures.err != nil {
+		t.Fatalf("loading fixtures: %v", fixtures.err)
 	}
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	return loader, byPath
+	return fixtures.loader, fixtures.byPath
 }
 
 // wantRe extracts the backquoted patterns of a `// want` comment.

@@ -25,9 +25,9 @@ var HotPathAlloc = &Analyzer{
 // hotPathPkgs are the module-relative packages whose per-packet event
 // scheduling must stay allocation-free (see the AllocsPerRun gates in
 // each package's tests). internal/simtime is in scope for its own sake:
-// the scheduler's self-scheduling machinery (the Ticker re-arm, any
-// future wheel-internal deferral) sits under every simulated event, so a
-// closure there is a per-event allocation for every caller at once.
+// the scheduler's self-scheduling machinery (the Ticker re-arm) sits
+// under every simulated event, so a closure there is a per-event
+// allocation for every caller at once.
 var hotPathPkgs = map[string]bool{
 	"internal/netem":   true,
 	"internal/pacer":   true,

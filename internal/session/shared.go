@@ -20,9 +20,6 @@ type SharedConfig struct {
 	LossProb        float64
 	// Seed seeds the shared link's PRNG.
 	Seed int64
-	// Sched selects the scheduler implementation (zero: the timer
-	// wheel); see Config.Sched.
-	Sched simtime.Config
 }
 
 // RunShared executes several flows through one shared bottleneck link and
@@ -33,7 +30,7 @@ func RunShared(shared SharedConfig, flows []Config) []Result {
 	if shared.Trace == nil {
 		panic("session: SharedConfig.Trace is required")
 	}
-	sched := simtime.NewSchedulerWith(shared.Sched)
+	sched := simtime.NewScheduler()
 	link := netem.NewLink(sched, netem.Config{
 		Trace:           shared.Trace,
 		PropDelay:       shared.PropDelay,

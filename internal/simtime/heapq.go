@@ -1,101 +1,88 @@
 package simtime
 
-// eventHeap is a binary min-heap of event records ordered by (at, seq).
-// It backs the ImplHeap scheduler queue and the timer wheel's overflow
-// bucket. Each queued record's index field mirrors its position in the
-// heap array so Cancel can remove interior elements in O(log n).
-type eventHeap []*event
+import "time"
 
-// less orders the heap by deadline, then scheduling order. seq is unique
+// entry is one queued event: its ordering key stored inline next to the
+// record it fires, so sifting compares entries without loading records.
+type entry struct {
+	at  time.Duration
+	seq uint64
+	ev  *event
+}
+
+// before orders entries by deadline, then scheduling order. seq is unique
 // per event, so the order is total and pop order never depends on the
 // heap's internal array layout.
-func (h eventHeap) less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// eventHeap is a binary min-heap of entries. Each queued record's index
+// field mirrors its entry's position so Cancel can remove interior
+// elements in O(log n).
+type eventHeap []entry
+
+// push appends e and restores the heap property.
+func (h *eventHeap) push(e entry) {
+	*h = append(*h, e)
+	h.siftUp(len(*h)-1, e)
 }
 
-// push appends ev and restores the heap property.
-func (h *eventHeap) push(ev *event) {
-	ev.index = len(*h)
-	*h = append(*h, ev)
-	h.siftUp(ev.index)
-}
-
-// popMin removes and returns the heap minimum.
-func (h *eventHeap) popMin() *event {
-	q := *h
-	ev := q[0]
-	n := len(q) - 1
-	q.swap(0, n)
-	q[n] = nil
-	*h = q[:n]
-	if n > 0 {
-		h.siftDown(0)
-	}
-	ev.index = -1
-	return ev
-}
-
-// removeAt removes the event at heap index i (used by Cancel).
+// removeAt removes the entry at index i: the root when an event fires, an
+// interior entry when one is canceled. The last entry refills the hole
+// and sifts whichever way restores the order.
 func (h *eventHeap) removeAt(i int) {
 	q := *h
 	n := len(q) - 1
-	removed := q[i]
-	if i != n {
-		q.swap(i, n)
-	}
-	q[n] = nil
+	q[i].ev.index = -1
+	last := q[n]
+	q[n] = entry{}
 	*h = q[:n]
-	if i < n {
-		if !h.siftDown(i) {
-			h.siftUp(i)
-		}
+	if i == n {
+		return
 	}
-	removed.index = -1
+	if i > 0 && last.before(q[(i-1)/2]) {
+		h.siftUp(i, last)
+	} else {
+		h.siftDown(i, last)
+	}
 }
 
-// siftUp restores the heap property from i toward the root.
-func (h *eventHeap) siftUp(i int) {
-	q := *h
+// siftUp places e, which belongs at or above index i, by moving larger
+// ancestors down into the hole.
+func (h eventHeap) siftUp(i int, e entry) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !e.before(h[parent]) {
 			break
 		}
-		q.swap(i, parent)
+		h[i] = h[parent]
+		h[i].ev.index = i
 		i = parent
 	}
+	h[i] = e
+	e.ev.index = i
 }
 
-// siftDown restores the heap property from i toward the leaves, reporting
-// whether the element moved.
-func (h *eventHeap) siftDown(i int) bool {
-	q := *h
-	start := i
-	n := len(q)
+// siftDown places e, which belongs at or below index i, by moving smaller
+// children up into the hole.
+func (h eventHeap) siftDown(i int, e entry) {
+	n := len(h)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := child + 1; right < n && h[right].before(h[child]) {
 			child = right
 		}
-		if !q.less(child, i) {
+		if !h[child].before(e) {
 			break
 		}
-		q.swap(i, child)
+		h[i] = h[child]
+		h[i].ev.index = i
 		i = child
 	}
-	return i > start
+	h[i] = e
+	e.ev.index = i
 }

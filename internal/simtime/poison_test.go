@@ -29,25 +29,19 @@ func freeList(s *Scheduler) []*event {
 // sentinels. The fn/argFn sentinels fail the test if they ever run: a
 // record whose stale closure survives into a new tenant's dispatch is
 // the worst version of this bug (Step calls fn when non-nil, so a stale
-// fn would shadow a new AtArg tenant entirely). The level/slot/prev
-// sentinels cover the wheel: a recycled record must be fully re-placed
-// (level, slot, links) before it lands in a slot list, or the splice
-// logic would corrupt a list it was never on. id, gen, and the next
-// free-chain link are the only fields a free record legitimately owns.
+// fn would shadow a new AtArg tenant entirely). The index sentinel
+// covers the heap: push must place a recycled record before anything
+// reads its position. id, gen, and the next free-chain link are the only
+// fields a free record legitimately owns.
 func poisonFreeEvents(t *testing.T, s *Scheduler) int {
 	t.Helper()
-	const poisonDur = time.Duration(0x5EA5_5EA5_5EA5)
 	free := freeList(s)
 	for _, ev := range free {
-		ev.at = poisonDur
-		ev.seq = 0xA5A5_A5A5_A5A5_A5A5
+		ev.index = 0x5EA5_5EA5
 		ev.fn = func() { t.Error("poisoned fn leaked into dispatch") }
 		ev.argFn = func(any) { t.Error("poisoned argFn leaked into dispatch") }
 		ev.arg = "poison"
 		ev.canceledGen = 0xA5A5
-		ev.level = 0x5A
-		ev.slot = 0xA5A5
-		ev.prev = 0x5A5A5A5
 	}
 	return len(free)
 }
@@ -108,9 +102,6 @@ func TestReleaseClearsPayloadFields(t *testing.T) {
 		}
 		if ev.index != -1 {
 			t.Errorf("free record %d still claims heap index %d", i, ev.index)
-		}
-		if ev.prev != 0 {
-			t.Errorf("free record %d retains slot link prev=%d", i, ev.prev)
 		}
 	}
 }

@@ -173,22 +173,51 @@ func stepBenchFn(a any) {
 // back — nothing on that cycle may touch the heap allocator. If a future
 // change needs an allocation here it is paying that cost on every simulated
 // event across every experiment; raise this budget only with a benchmark
-// showing the regression is bought back elsewhere.
+// showing the regression is bought back elsewhere. The subtest is named
+// for the implementation it measures, as when a timer wheel ran beside it.
 func TestSchedulerStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under -race")
 	}
-	for _, impl := range []Impl{ImplWheel, ImplHeap} {
-		t.Run(impl.String(), func(t *testing.T) {
-			s := NewSchedulerWith(Config{Impl: impl})
-			s.AfterArg(0, stepBenchFn, s)
-			for i := 0; i < 1024; i++ { // warm the pool and queue arrays
-				s.Step()
-			}
-			allocs := testing.AllocsPerRun(1000, func() { s.Step() })
-			if allocs != 0 {
-				t.Errorf("%v Scheduler.Step allocates %.1f/op in steady state, budget is 0", impl, allocs)
-			}
-		})
+	t.Run("heap", func(t *testing.T) {
+		s := NewScheduler()
+		s.AfterArg(0, stepBenchFn, s)
+		for i := 0; i < 1024; i++ { // warm the pool and the heap array
+			s.Step()
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { s.Step() }); allocs != 0 {
+			t.Errorf("Scheduler.Step allocates %.1f/op in steady state, budget is 0", allocs)
+		}
+	})
+}
+
+// TestSessionLoadDepth pins BenchmarkSchedulerDepth to the operating
+// point it claims: a queue of at most 16 live events averaging about 6,
+// with cancels in the mix, and no allocation per Step.
+func TestSessionLoadDepth(t *testing.T) {
+	l := newSessionLoad()
+	const steps = 20_000
+	sum, peak := 0, 0
+	for i := 0; i < steps; i++ {
+		if !l.s.Step() {
+			t.Fatal("session load ran dry")
+		}
+		n := l.s.Len()
+		sum += n
+		peak = max(peak, n)
+	}
+	mean := float64(sum) / steps
+	t.Logf("depth mean %.2f, max %d", mean, peak)
+	if mean < 4 || mean > 8 || peak > 16 {
+		t.Errorf("session load depth mean %.2f, max %d; want mean 4-8, max <= 16", mean, peak)
+	}
+	if !l.rto.Pending() {
+		t.Error("retransmit timeout not pending; the cancel path went idle")
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { l.s.Step() }); allocs != 0 {
+		t.Errorf("session load Step allocates %.1f/op, budget is 0", allocs)
 	}
 }

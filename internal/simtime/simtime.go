@@ -5,26 +5,25 @@
 // The zero value of Scheduler is ready to use. Events scheduled for the same
 // instant fire in scheduling order (FIFO), which keeps runs reproducible.
 //
-// # Queue implementations
+// # Queue
 //
-// Two interchangeable queue implementations exist behind Config.Impl: a
-// hierarchical timer wheel (ImplWheel, the default — see wheel.go) and a
-// binary min-heap (ImplHeap, the original). Both fire the exact same
-// (at, seq)-ordered event sequence; the choice only changes host-CPU work
-// per event, never virtual-time ordering. The heap stays alive for
-// differential testing (TestWheelMatchesHeap, FuzzSchedulerEquivalence)
-// and as a fallback for pathological far-horizon workloads.
+// Pending events sit in one binary min-heap ordered by (deadline,
+// scheduling sequence). Each heap entry carries that key inline next to
+// its record pointer, so sift comparisons never dereference a record. A
+// simulation's queue is shallow — one session keeps a handful of timers
+// live (about 6 on average, 8 at most, in the drop-scenario fleet) — and
+// at that depth a plain heap is the cheapest structure; DESIGN.md §15 has
+// the measurements.
 //
 // # Allocation model
 //
 // The scheduler is allocation-free in steady state. Fired and canceled
 // events return to a per-scheduler free list and are recycled by later At
-// and After calls; the wheel's slot arrays (or the heap's backing array)
-// are reused across the whole run. Handles stay safe across recycling
-// through generation counters: every recycle bumps the record's generation,
-// so a stale handle (its event already fired or canceled) simply stops
-// matching and Cancel degrades to a no-op instead of corrupting an
-// unrelated event.
+// and After calls; the heap's backing array is reused across the whole
+// run. Handles stay safe across recycling through generation counters:
+// every recycle bumps the record's generation, so a stale handle (its
+// event already fired or canceled) simply stops matching and Cancel
+// degrades to a no-op instead of corrupting an unrelated event.
 //
 // Callbacks come in two forms. At and After take a plain func(), which is
 // what cold paths and tests want but allocates a closure whenever the
@@ -48,65 +47,25 @@ type Clock interface {
 	Now() time.Duration
 }
 
-// Impl selects the scheduler's queue implementation.
-type Impl uint8
-
-const (
-	// ImplWheel is the hierarchical timer wheel (default).
-	ImplWheel Impl = iota
-	// ImplHeap is the binary min-heap the wheel replaced; kept for
-	// differential testing.
-	ImplHeap
-)
-
-// String returns the implementation's canonical name.
-func (im Impl) String() string {
-	if im == ImplHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// Config selects scheduler construction options. The zero value is the
-// production configuration.
-type Config struct {
-	// Impl selects the queue implementation; the zero value is ImplWheel.
-	Impl Impl
-}
-
 // event is the pooled record behind an Event handle. Records are owned by
 // one scheduler forever: they cycle between its queue and its free list and
 // are never shared across schedulers, so pooling is invisible to parallel
 // runs of independent schedulers.
 type event struct {
 	s     *Scheduler
-	at    time.Duration
-	seq   uint64
 	fn    func()
 	argFn func(any)
 	arg   any
 
-	// index locates the record inside its container: the heap index
-	// (ImplHeap or wheel overflow), or 0 as a queued marker for wheel
-	// slot residents (their position is carried by the next/prev links).
-	// index == -1 means not queued; Pending and the pool tests key on
-	// that regardless of implementation.
+	// index is the record's position in the heap array, or -1 when it is
+	// not queued; Pending keys on it.
 	index int
-	// level says which container the record is in: a wheel level 0..3,
-	// locHeap, or locOver. Meaningless while index == -1.
-	level int8
-	// slot is the wheel slot number when level is a wheel level.
-	slot uint16
-	// id is the record's 1-based arena id, fixed at mint time. Wheel slot
-	// lists and the free list link records by id rather than by pointer:
-	// an int32 store takes no GC write barrier, where the pointer splices
-	// this replaced were the hottest barrier site in fleet profiles.
+	// id is the record's 1-based arena id, fixed at mint time. The free
+	// list links records by id rather than by pointer: an int32 store
+	// takes no GC write barrier.
 	id int32
-	// next and prev thread the record into its wheel slot's intrusive
-	// doubly-linked list as arena ids (0 = none); next also chains the
-	// free list.
+	// next chains the free list by arena id (0 = none).
 	next int32
-	prev int32
 
 	// gen is the record's live generation; it increments every time the
 	// record is released back to the free list, invalidating outstanding
@@ -151,7 +110,7 @@ func (e Event) Cancel() bool {
 	}
 	ev := e.ev
 	s := ev.s
-	s.unqueue(ev)
+	s.queue.removeAt(ev.index)
 	ev.canceledGen = ev.gen
 	s.release(ev)
 	return true
@@ -169,9 +128,8 @@ func (e Event) Canceled() bool {
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64
-	impl    Impl
 	stopped bool
-	queue   eventHeap // ImplHeap main queue
+	queue   eventHeap
 	// arena backs every event record the scheduler ever mints, in
 	// fixed-size chunks so records keep stable addresses while ids stay
 	// dense. minted counts records carved out so far; freeHead chains
@@ -179,10 +137,9 @@ type Scheduler struct {
 	arena    [][]event
 	minted   int
 	freeHead int32
-	wheel    wheel // ImplWheel main queue
 }
 
-// Arena geometry: 256 records per chunk keeps a chunk around 24 KB —
+// Arena geometry: 256 records per chunk keeps a chunk around 18 KB —
 // big enough to amortize growth, small enough not to overshoot tiny runs.
 const (
 	chunkShift = 8
@@ -196,27 +153,15 @@ func (s *Scheduler) evAt(id int32) *event {
 	return &s.arena[i>>chunkShift][i&chunkMask]
 }
 
-// NewScheduler returns a wheel-backed scheduler with the clock at zero.
+// NewScheduler returns an empty scheduler with the clock at zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
-
-// NewSchedulerWith returns a scheduler built from cfg with the clock at
-// zero. NewSchedulerWith(Config{}) is equivalent to NewScheduler.
-func NewSchedulerWith(cfg Config) *Scheduler { return &Scheduler{impl: cfg.Impl} }
-
-// Impl reports which queue implementation the scheduler runs on.
-func (s *Scheduler) Impl() Impl { return s.impl }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Len returns the number of pending events. Canceled events leave the
 // queue immediately, so the count is exact.
-func (s *Scheduler) Len() int {
-	if s.impl == ImplHeap {
-		return len(s.queue)
-	}
-	return s.wheel.count
-}
+func (s *Scheduler) Len() int { return len(s.queue) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a simulation bug, and silently reordering
@@ -231,12 +176,23 @@ func (s *Scheduler) At(t time.Duration, fn func()) Event {
 	return s.schedule(t, fn, nil, nil)
 }
 
-// After schedules fn to run d from now. Negative d is treated as zero.
+// After schedules fn to run d from now. Negative d is treated as zero; a
+// d reaching past the largest representable time saturates there.
 func (s *Scheduler) After(d time.Duration, fn func()) Event {
+	return s.At(s.deadline(d), fn)
+}
+
+// deadline resolves a relative delay to an absolute time: negative delays
+// clamp to now, and now+d saturates at maxDeadline instead of wrapping
+// negative.
+func (s *Scheduler) deadline(d time.Duration) time.Duration {
 	if d < 0 {
-		d = 0
+		return s.now
 	}
-	return s.At(s.now+d, fn)
+	if d > maxDeadline-s.now {
+		return maxDeadline
+	}
+	return s.now + d
 }
 
 // AtArg schedules fn(arg) to run at absolute virtual time t. Passing a
@@ -251,13 +207,10 @@ func (s *Scheduler) AtArg(t time.Duration, fn func(any), arg any) Event {
 	return s.schedule(t, nil, fn, arg)
 }
 
-// AfterArg schedules fn(arg) to run d from now. Negative d is treated as
-// zero. See AtArg for the allocation contract.
+// AfterArg schedules fn(arg) to run d from now, with After's clamping of
+// d. See AtArg for the allocation contract.
 func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtArg(s.now+d, fn, arg)
+	return s.AtArg(s.deadline(d), fn, arg)
 }
 
 // schedule acquires a pooled record, fills it, and queues it.
@@ -266,18 +219,11 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), argFn func(any), arg an
 		panic(fmt.Sprintf("simtime: event scheduled in the past (now=%v, at=%v)", s.now, t))
 	}
 	ev := s.acquire()
-	ev.at = t
-	ev.seq = s.seq
 	ev.fn = fn
 	ev.argFn = argFn
 	ev.arg = arg
+	s.queue.push(entry{at: t, seq: s.seq, ev: ev})
 	s.seq++
-	if s.impl == ImplHeap {
-		ev.level = locHeap
-		s.queue.push(ev)
-	} else {
-		s.wheel.push(s, ev)
-	}
 	return Event{ev: ev, gen: ev.gen, at: t}
 }
 
@@ -308,41 +254,19 @@ func (s *Scheduler) release(ev *event) {
 	ev.fn = nil
 	ev.argFn = nil
 	ev.arg = nil
-	ev.prev = 0
 	ev.index = -1
 	ev.gen++
 	ev.next = s.freeHead
 	s.freeHead = ev.id
 }
 
-// earliest returns the queued event with the minimal (at, seq), or nil.
-func (s *Scheduler) earliest() *event {
-	if s.impl == ImplHeap {
-		if len(s.queue) == 0 {
-			return nil
-		}
-		return s.queue[0]
-	}
-	return s.wheel.min(s)
-}
-
-// unqueue removes a queued event from whichever container holds it,
-// without releasing the record.
-func (s *Scheduler) unqueue(ev *event) {
-	if ev.level == locHeap {
-		s.queue.removeAt(ev.index)
-		return
-	}
-	s.wheel.remove(s, ev)
-}
-
 // Reset returns the scheduler to its initial state — empty queue, clock at
 // zero, sequence counter at zero, stop flag cleared — while keeping the
-// event free list and the queue's backing arrays (heap array or wheel slot
-// arrays). One scheduler can thereby be reused across many sequential
-// simulation runs (the fleet's per-shard discipline) with its pools already
-// warm: the first run pays the event allocations, every later run on the
-// same scheduler is allocation-free in steady state.
+// event free list and the heap's backing array. One scheduler can thereby
+// be reused across many sequential simulation runs (the fleet's per-shard
+// discipline) with its pools already warm: the first run pays the event
+// allocations, every later run on the same scheduler is allocation-free in
+// steady state.
 //
 // Pending events are canceled: their records are recycled and outstanding
 // handles go stale (Pending reports false, Cancel is a no-op). Because seq
@@ -350,39 +274,33 @@ func (s *Scheduler) unqueue(ev *event) {
 // freshly constructed one would — Reset-reuse is invisible to the
 // simulation running on it.
 func (s *Scheduler) Reset() {
-	if s.impl == ImplHeap {
-		for _, ev := range s.queue {
-			ev.canceledGen = ev.gen
-			s.release(ev)
-		}
-		clear(s.queue)
-		s.queue = s.queue[:0]
-	} else {
-		s.wheel.reset(s)
+	for _, e := range s.queue {
+		e.ev.canceledGen = e.ev.gen
+		s.release(e.ev)
 	}
+	clear(s.queue)
+	s.queue = s.queue[:0]
 	s.now = 0
 	s.seq = 0
 	s.stopped = false
 }
 
-// maxDeadline is the step limit that admits every representable deadline.
+// maxDeadline is the largest representable deadline: the step limit that
+// admits every event, and where After and AfterArg saturate.
 const maxDeadline = time.Duration(math.MaxInt64)
 
 // step fires the earliest pending event if its deadline is at or before
 // limit, advancing the clock to that deadline. It reports whether an event
-// fired. The single queue search per fired event is what RunUntil rides
-// on; the event's record is recycled before the callback runs, so a
+// fired. The event's record is recycled before the callback runs, so a
 // callback that schedules new events reuses it immediately.
 func (s *Scheduler) step(limit time.Duration) bool {
-	ev := s.earliest()
-	if ev == nil || ev.at > limit {
+	if len(s.queue) == 0 || s.queue[0].at > limit {
 		return false
 	}
-	s.unqueue(ev)
-	if s.impl != ImplHeap {
-		s.wheel.advance(s, wheelTick(ev.at))
-	}
-	s.now = ev.at
+	root := s.queue[0]
+	s.queue.removeAt(0)
+	s.now = root.at
+	ev := root.ev
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 	s.release(ev)
 	if fn != nil {
@@ -401,11 +319,10 @@ func (s *Scheduler) Step() bool { return s.step(maxDeadline) }
 // Peek returns the deadline of the earliest pending event and true, or zero
 // and false if none is pending.
 func (s *Scheduler) Peek() (time.Duration, bool) {
-	ev := s.earliest()
-	if ev == nil {
+	if len(s.queue) == 0 {
 		return 0, false
 	}
-	return ev.at, true
+	return s.queue[0].at, true
 }
 
 // RunUntil fires events in order until the queue is exhausted or the next
@@ -418,9 +335,6 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	}
 	if !s.stopped && s.now < t {
 		s.now = t
-		if s.impl != ImplHeap {
-			s.wheel.advance(s, wheelTick(t))
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -42,6 +43,45 @@ func TestSchedulerFIFOAtSameInstant(t *testing.T) {
 	}
 }
 
+// TestSchedulerBehaviorBothImpls pins the core scheduler contract in one
+// script: out-of-order scheduling, a cancel, a same-instant batch and a
+// Reset. It once ran the script on a timer wheel and on the heap; the
+// heap subtest remains.
+func TestSchedulerBehaviorBothImpls(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
+		s := NewScheduler()
+		var got []int
+		s.At(30*time.Millisecond, func() { got = append(got, 3) })
+		s.At(10*time.Millisecond, func() { got = append(got, 1) })
+		ev := s.At(25*time.Millisecond, func() { got = append(got, 9) })
+		s.At(20*time.Millisecond, func() { got = append(got, 2) })
+		for i := 0; i < 4; i++ {
+			i := i
+			s.At(40*time.Millisecond, func() { got = append(got, 10+i) })
+		}
+		if !ev.Cancel() {
+			t.Fatal("Cancel returned false on a pending event")
+		}
+		if s.Len() != 7 {
+			t.Fatalf("Len = %d after cancel, want 7", s.Len())
+		}
+		s.Run()
+		want := []int{1, 2, 3, 10, 11, 12, 13}
+		if len(got) != len(want) {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("fired %v, want %v", got, want)
+			}
+		}
+		s.Reset()
+		if s.Now() != 0 || s.Len() != 0 {
+			t.Fatalf("after Reset: Now=%v Len=%d, want zeros", s.Now(), s.Len())
+		}
+	})
+}
+
 func TestSchedulerAfter(t *testing.T) {
 	s := NewScheduler()
 	var at time.Duration
@@ -64,6 +104,31 @@ func TestSchedulerNegativeAfterClamped(t *testing.T) {
 	}
 	if s.Now() != 0 {
 		t.Errorf("clock moved to %v, want 0", s.Now())
+	}
+}
+
+// TestAfterSaturatesFarDeadline pins that a delay reaching past the
+// largest representable time saturates there instead of wrapping
+// negative: from a nonzero clock, now+d used to overflow and After
+// panicked with "event scheduled in the past".
+func TestAfterSaturatesFarDeadline(t *testing.T) {
+	s := NewScheduler()
+	s.RunUntil(time.Second)
+	var got []int
+	far := s.After(math.MaxInt64, func() { got = append(got, 2) })
+	farArg := s.AfterArg(math.MaxInt64-time.Nanosecond, func(any) { got = append(got, 3) }, nil)
+	s.After(time.Millisecond, func() { got = append(got, 1) })
+	for _, ev := range []Event{far, farArg} {
+		if ev.At() != math.MaxInt64 {
+			t.Errorf("far deadline = %v, want saturation at %v", ev.At(), time.Duration(math.MaxInt64))
+		}
+	}
+	s.Run()
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("fired %v, want [1 2 3]", got)
+	}
+	if s.Now() != math.MaxInt64 {
+		t.Errorf("Now = %v after the saturated events, want %v", s.Now(), time.Duration(math.MaxInt64))
 	}
 }
 
