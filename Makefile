@@ -61,15 +61,16 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOrder -fuzztime=$(FUZZTIME) ./internal/simtime
 
-# Record a short figure-1 session in all three export formats, then diff
-# a same-seed re-run against the first recording: any divergence is a
-# determinism regression. The Chrome JSON is the CI build artifact.
+# Record a short session of the paper's figure-1 drop (rtcsim's default
+# "standard" scenario) in all three export formats, then diff a same-seed
+# re-run against the first recording: any divergence is a determinism
+# regression. The Chrome JSON is the CI build artifact.
 trace-smoke:
 	mkdir -p build/trace-smoke
-	$(GO) run ./cmd/rtctrace -exp figure1 -duration 5s -out build/trace-smoke/figure1.json
-	$(GO) run ./cmd/rtctrace -exp figure1 -duration 5s -out build/trace-smoke/figure1.csv
-	$(GO) run ./cmd/rtctrace -exp figure1 -duration 5s -out build/trace-smoke/figure1.txt
-	$(GO) run ./cmd/rtctrace -exp figure1 -duration 5s -out build/trace-smoke/rerun.csv
+	$(GO) run ./cmd/rtcsim -duration 5s -record build/trace-smoke/figure1.json > /dev/null
+	$(GO) run ./cmd/rtcsim -duration 5s -record build/trace-smoke/figure1.csv > /dev/null
+	$(GO) run ./cmd/rtcsim -duration 5s -record build/trace-smoke/figure1.txt > /dev/null
+	$(GO) run ./cmd/rtcsim -duration 5s -record build/trace-smoke/rerun.csv > /dev/null
 	$(GO) run ./cmd/rtctrace -diff build/trace-smoke/figure1.csv build/trace-smoke/rerun.csv
 	$(GO) run ./cmd/rtctrace -diff build/trace-smoke/figure1.json build/trace-smoke/figure1.csv
 

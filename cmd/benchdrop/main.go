@@ -61,9 +61,10 @@ func main() {
 		return
 	}
 
-	seedList := make([]int64, *seeds)
-	for i := range seedList {
-		seedList[i] = int64(i + 1)
+	seedList, err := seedRange(*seeds)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdrop:", err)
+		os.Exit(2)
 	}
 
 	r := &experiments.Runner{Workers: *parallel}
@@ -210,4 +211,17 @@ func main() {
 	}
 	run()
 	finish()
+}
+
+// seedRange returns the seeds 1..n that multi-seed experiments average
+// over; n must be positive.
+func seedRange(n int) ([]int64, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("-seeds %d must be positive", n)
+	}
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	return seeds, nil
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,34 +25,85 @@ import (
 )
 
 func main() {
-	var (
-		chart      = flag.String("chart", "latency", "chart: latency | rates | cdf")
-		controller = flag.String("controller", "adaptive", "controller for single-series charts")
-		compare    = flag.Bool("compare", false, "overlay native-rc and adaptive (latency/cdf)")
-		before     = flag.Float64("before", 2.5e6, "capacity before the drop, bits/s")
-		after      = flag.Float64("after", 0.8e6, "capacity after the drop, bits/s")
-		dropAt     = flag.Duration("dropat", 10*time.Second, "drop instant")
-		duration   = flag.Duration("duration", 25*time.Second, "session length")
-		seed       = flag.Int64("seed", 1, "random seed")
-		width      = flag.Int("width", 72, "chart width")
-		height     = flag.Int("height", 14, "chart height")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	run := func(name string) session.Result {
+// run is the testable entry point; it returns the process exit code.
+// Every flag problem is diagnosed on stderr before any session runs.
+func run(args []string, stdoutW, stderrW io.Writer) int {
+	stdout := &cli.Printer{W: stdoutW}
+	stderr := &cli.Printer{W: stderrW}
+	code := runCmd(args, stdout, stderr, stderrW)
+	if code == 0 && stdout.Err != nil {
+		//lint:ignore errdrop stderr is the last resort; its own failure has nowhere to go
+		fmt.Fprintf(stderrW, "rtcplot: writing output: %v\n", stdout.Err)
+		return 1
+	}
+	return code
+}
+
+func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
+	fs := flag.NewFlagSet("rtcplot", flag.ContinueOnError)
+	fs.SetOutput(stderrW)
+	var (
+		chart      = fs.String("chart", "latency", "chart: latency | rates | cdf")
+		controller = fs.String("controller", "adaptive", "controller for single-series charts")
+		compare    = fs.Bool("compare", false, "overlay native-rc and adaptive (latency/cdf)")
+		before     = fs.Float64("before", 2.5e6, "capacity before the drop, bits/s")
+		after      = fs.Float64("after", 0.8e6, "capacity after the drop, bits/s")
+		dropAt     = fs.Duration("dropat", 10*time.Second, "drop instant")
+		duration   = fs.Duration("duration", 25*time.Second, "session length")
+		seed       = fs.Int64("seed", 1, "random seed")
+		width      = fs.Int("width", 72, "chart width")
+		height     = fs.Int("height", 14, "chart height")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 0 {
+		stderr.Printf("rtcplot: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	switch *chart {
+	case "latency", "rates", "cdf":
+	default:
+		stderr.Printf("rtcplot: unknown -chart %q (want latency | rates | cdf)\n", *chart)
+		return 2
+	}
+	names := []string{*controller}
+	if *compare && *chart != "rates" {
+		names = []string{"native-rc", "adaptive"}
+	}
+
+	// Build and validate every session before running any, so a bad flag
+	// is a diagnostic rather than a panic halfway through the chart.
+	tr, err := trace.New("drop",
+		trace.Point{At: 0, Bps: units.BitsPerSec(*before)},
+		trace.Point{At: *dropAt, Bps: units.BitsPerSec(*after)})
+	if err != nil {
+		stderr.Printf("rtcplot: -before/-after/-dropat: %v\n", err)
+		return 2
+	}
+	cfgs := make([]session.Config, 0, len(names))
+	for _, name := range names {
 		ctrl, err := cli.BuildController(name, false)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtcplot:", err)
-			os.Exit(1)
+			stderr.Printf("rtcplot: %v\n", err)
+			return 2
 		}
-		return session.Run(session.Config{
+		cfg := session.Config{
 			Duration:    *duration,
 			Seed:        *seed,
 			Content:     video.TalkingHead,
-			Trace:       trace.StepDrop(units.BitsPerSec(*before), units.BitsPerSec(*after), *dropAt),
+			Trace:       tr,
 			InitialRate: 1e6,
 			Controller:  ctrl,
-		})
+		}
+		if err := cfg.Validate(); err != nil {
+			stderr.Printf("rtcplot: %v\n", err)
+			return 2
+		}
+		cfgs = append(cfgs, cfg)
 	}
 
 	cfg := plot.Config{Width: *width, Height: *height}
@@ -59,20 +111,15 @@ func main() {
 	case "latency":
 		cfg.XLabel, cfg.YLabel = "capture time (s)", "frame latency (ms)"
 		var series []plot.Series
-		names := []string{*controller}
-		if *compare {
-			names = []string{"native-rc", "adaptive"}
+		for i, c := range cfgs {
+			x, y := metrics.DelaySeries(session.Run(c).Records)
+			series = append(series, plot.Series{Name: names[i], X: x, Y: y})
 		}
-		for _, n := range names {
-			res := run(n)
-			x, y := metrics.DelaySeries(res.Records)
-			series = append(series, plot.Series{Name: n, X: x, Y: y})
-		}
-		fmt.Printf("frame latency, %.1f -> %.1f Mbps at t=%v\n\n", *before/1e6, *after/1e6, *dropAt)
-		fmt.Print(plot.Line(cfg, series...))
+		stdout.Printf("frame latency, %.1f -> %.1f Mbps at t=%v\n\n", *before/1e6, *after/1e6, *dropAt)
+		stdout.Printf("%s", plot.Line(cfg, series...))
 	case "rates":
 		cfg.XLabel, cfg.YLabel = "time (s)", "rate (Mbps)"
-		res := run(*controller)
+		res := session.Run(cfgs[0])
 		var capS, estS, encS plot.Series
 		capS.Name, estS.Name, encS.Name = "capacity", "estimate", "encoder"
 		for _, p := range res.Timeline {
@@ -84,24 +131,17 @@ func main() {
 			encS.X = append(encS.X, t)
 			encS.Y = append(encS.Y, p.EncoderTarget.Mbps())
 		}
-		fmt.Printf("control plane, %s controller\n\n", *controller)
-		fmt.Print(plot.Line(cfg, capS, estS, encS))
+		stdout.Printf("control plane, %s controller\n\n", *controller)
+		stdout.Printf("%s", plot.Line(cfg, capS, estS, encS))
 	case "cdf":
 		cfg.XLabel, cfg.YLabel = "frame latency (ms)", "CDF"
 		var series []plot.Series
-		names := []string{*controller}
-		if *compare {
-			names = []string{"native-rc", "adaptive"}
+		for i, c := range cfgs {
+			ds, fs := metrics.CDF(session.Run(c).Records, *dropAt, *dropAt+5*time.Second)
+			series = append(series, plot.Series{Name: names[i], X: ds, Y: fs})
 		}
-		for _, n := range names {
-			res := run(n)
-			ds, fs := metrics.CDF(res.Records, *dropAt, *dropAt+5*time.Second)
-			series = append(series, plot.Series{Name: n, X: ds, Y: fs})
-		}
-		fmt.Printf("post-drop latency CDF (%v .. %v)\n\n", *dropAt, *dropAt+5*time.Second)
-		fmt.Print(plot.CDF(cfg, series...))
-	default:
-		fmt.Fprintf(os.Stderr, "rtcplot: unknown chart %q\n", *chart)
-		os.Exit(1)
+		stdout.Printf("post-drop latency CDF (%v .. %v)\n\n", *dropAt, *dropAt+5*time.Second)
+		stdout.Printf("%s", plot.CDF(cfg, series...))
 	}
+	return 0
 }

@@ -2,16 +2,23 @@
 //
 // Examples:
 //
-//	rtcsim -trace drop -before 2.5e6 -after 0.8e6 -dropat 10s -controller adaptive
-//	rtcsim -trace lte -controller native-rc -duration 60s -out frames
-//	rtcsim -tracefile lte.csv -controller adaptive -out timeline
-//	rtcsim -scenario flash-crowd -controller adaptive
-//	rtcsim -scenario path.yaml -controller native-rc
+//	rtcsim -controller adaptive                        # the paper's 2.5 -> 0.8 Mbps drop
+//	rtcsim -scenario flash-crowd -controller native-rc
+//	rtcsim -scenario path.yaml -out frames             # a YAML/JSON scenario file
+//	rtcsim -scenario lte.csv -duration 30s -out timeline  # a tracegen capacity trace
+//	rtcsim -duration 5s -record trace.json             # also record the flight trace
 //
-// -scenario names a preset from the declarative corpus or a YAML/JSON
-// scenario file; it pins the whole path (capacity trace, loss, RTT,
-// queue), overriding the individual path flags. The scenario's natural
-// duration is used unless -duration is given explicitly.
+// -scenario is the only description of the network path: a preset from
+// the declarative corpus (default "standard"), a YAML/JSON scenario file,
+// or a "seconds,bps" CSV capacity trace. It pins the capacity trace,
+// loss, RTT and queue. The scenario's natural duration is used unless
+// -duration is given explicitly.
+//
+// -record writes the session's flight-recorder trace to a file whose
+// extension picks the format: .json is Chrome trace JSON (load it in
+// Perfetto), .csv is the canonical CSV, anything else is the ASCII
+// timeline. The summary of the recording goes to stderr, so stdout is the
+// same with or without -record; inspect and diff recordings with rtctrace.
 package main
 
 import (
@@ -19,15 +26,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"rtcadapt/internal/cc"
 	"rtcadapt/internal/cli"
 	"rtcadapt/internal/metrics"
-	"rtcadapt/internal/netem"
+	"rtcadapt/internal/obs"
+	"rtcadapt/internal/plot"
 	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
 )
 
 func main() {
@@ -52,19 +60,12 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 	fs := flag.NewFlagSet("rtcsim", flag.ContinueOnError)
 	fs.SetOutput(stderrW)
 	var (
-		traceKind  = fs.String("trace", "drop", "capacity trace: const | drop | lte | wifi")
-		traceFile  = fs.String("tracefile", "", "CSV capacity trace (overrides -trace)")
-		scen       = fs.String("scenario", "", "scenario preset or YAML/JSON scenario file; pins the path, overriding -trace/-tracefile/-loss/-burstloss")
-		before     = fs.Float64("before", 2.5e6, "capacity before the drop, bits/s")
-		after      = fs.Float64("after", 0.8e6, "capacity after the drop, bits/s")
-		dropAt     = fs.Duration("dropat", 10*time.Second, "drop instant")
+		scen       = fs.String("scenario", "standard", "network path: scenario preset, YAML/JSON scenario file, or .csv capacity trace")
 		controller = fs.String("controller", "adaptive", "controller: native-rc | reset-only | adaptive")
 		estimator  = fs.String("estimator", "gcc", "estimator: gcc | oracle")
 		content    = fs.String("content", "talking-head", "content: talking-head | screen-share | gaming | sports")
-		duration   = fs.Duration("duration", 30*time.Second, "session length")
+		duration   = fs.Duration("duration", 30*time.Second, "session length; when unset, the scenario's natural span, or 30s if it has none")
 		seed       = fs.Int64("seed", 1, "random seed")
-		loss       = fs.Float64("loss", 0, "random loss probability")
-		burstLoss  = fs.Float64("burstloss", 0, "bursty loss rate (Gilbert-Elliott, mean burst 8 pkts)")
 		fbLoss     = fs.Float64("feedbackloss", 0, "reverse-path (feedback) loss probability")
 		nack       = fs.Bool("nack", false, "enable NACK retransmission")
 		fecK       = fs.Int("fec", 0, "FEC group size (0 = off; e.g. 4 = 25% overhead)")
@@ -73,6 +74,7 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		tlayers    = fs.Int("tl", 1, "temporal layers (2 = SVC base + droppable enhancement)")
 		probing    = fs.Bool("probe", false, "enable padding probe clusters for fast capacity rediscovery")
 		out        = fs.String("out", "summary", "output: summary | frames | timeline")
+		record     = fs.String("record", "", "write the flight-recorder trace to this file (.json Chrome, .csv CSV, else ASCII)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -94,38 +96,15 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		return 2
 	}
 
-	// An explicit -duration beats the scenario's natural span; detect it
-	// so a plain "-scenario staircase" runs the whole staircase.
-	durationSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "duration" {
-			durationSet = true
-		}
-	})
-
-	var scPath *scenario.Path
-	if *scen != "" {
-		sc, err := cli.ResolveScenario(*scen)
-		if err != nil {
-			stderr.Printf("rtcsim: %v\n", err)
-			return 2
-		}
-		p, err := sc.Compile(scenario.CompileConfig{Seed: *seed, Duration: *duration})
-		if err != nil {
-			stderr.Printf("rtcsim: %v\n", err)
-			return 2
-		}
-		scPath = &p
+	sc, err := cli.ResolveScenario(*scen)
+	if err != nil {
+		stderr.Printf("rtcsim: %v\n", err)
+		return 2
 	}
-
-	var tr *trace.Trace
-	if scPath == nil {
-		var err error
-		tr, err = cli.BuildTrace(*traceKind, *traceFile, *before, *after, *dropAt, *seed, *duration)
-		if err != nil {
-			stderr.Printf("rtcsim: %v\n", err)
-			return 2
-		}
+	path, err := sc.Compile(scenario.CompileConfig{Seed: *seed, Duration: *duration})
+	if err != nil {
+		stderr.Printf("rtcsim: %v\n", err)
+		return 2
 	}
 	ctrl, err := cli.BuildController(*controller, *resolution)
 	if err != nil {
@@ -139,11 +118,8 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 	}
 
 	cfg := session.Config{
-		Duration:         *duration,
 		Seed:             *seed,
 		Content:          cls,
-		Trace:            tr,
-		LossProb:         *loss,
 		FeedbackLossProb: *fbLoss,
 		NACK:             *nack,
 		FECGroupSize:     *fecK,
@@ -152,22 +128,24 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		Controller:       ctrl,
 	}
 	cfg.Encoder.TemporalLayers = *tlayers
-	if *burstLoss > 0 {
-		cfg.BurstLoss = netem.NewGilbertElliott(8, *burstLoss)
-	}
-	if scPath != nil {
-		if !durationSet {
-			cfg.Duration = 0 // let the scenario's natural span fill it
-		}
-		cli.ApplyScenario(&cfg, *scPath)
-		if cfg.Duration == 0 {
+	// An explicit -duration beats the scenario's natural span, so a plain
+	// "-scenario staircase" runs the whole staircase.
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "duration" {
 			cfg.Duration = *duration
 		}
+	})
+	cli.ApplyScenario(&cfg, path)
+	if cfg.Duration == 0 {
+		cfg.Duration = *duration
 	}
 	if *estimator == "oracle" {
 		cfg.NewEstimator = func(capacity cc.CapacityFunc) cc.Estimator {
 			return cc.NewOracle(capacity, 0.95)
 		}
+	}
+	if *record != "" {
+		cfg.Recorder = obs.NewRecorder(0)
 	}
 	// Surface bad numeric combinations (negative durations, out-of-range
 	// probabilities, ...) as diagnostics, not as a panic out of New.
@@ -177,6 +155,16 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 	}
 	res := session.Run(cfg)
 
+	if *record != "" {
+		snap := cfg.Recorder.Snapshot()
+		format, err := writeRecording(*record, snap)
+		if err != nil {
+			stderr.Printf("rtcsim: -record: %v\n", err)
+			return 1
+		}
+		stderr.Printf("recorded %d events (%d dropped), %d counters; wrote %s (%s)\n",
+			len(snap.Events), snap.DroppedEvents, len(snap.Counters), *record, format)
+	}
 	switch *out {
 	case "summary":
 		printSummary(stdout, res)
@@ -186,6 +174,28 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		printTimeline(stdout, res)
 	}
 	return 0
+}
+
+// writeRecording exports a flight-recorder trace to path in the format
+// its extension names, and returns that format's name.
+func writeRecording(path string, snap *obs.Trace) (format string, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	switch filepath.Ext(path) {
+	case ".json":
+		format, err = "chrome", obs.WriteChromeJSON(f, snap)
+	case ".csv":
+		format, err = "csv", obs.WriteCSV(f, snap)
+	default:
+		format = "ascii"
+		_, err = io.WriteString(f, plot.ObsTimeline(snap, 64))
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return format, err
 }
 
 func printSummary(w *cli.Printer, res session.Result) {

@@ -1,13 +1,10 @@
-// Command rtctrace drives the flight recorder: it runs one session with
-// recording enabled and exports the trace, inspects a trace file, or
-// diffs two traces event by event.
+// Command rtctrace reads flight-recorder traces: it inspects one trace
+// file or diffs two traces event by event. Record a trace with
+// `rtcsim -record`.
 //
 // Examples:
 //
-//	rtctrace -exp figure1 -out trace.json   # Chrome trace JSON (load in Perfetto)
-//	rtctrace -exp figure1 -out trace.csv    # canonical CSV
-//	rtctrace -exp figure1                   # ASCII timeline on stdout
-//	rtctrace -scenario flash-crowd          # record a declarative scenario
+//	rtcsim -duration 5s -record trace.json  # record one session (Chrome JSON)
 //	rtctrace -inspect trace.json            # counters + timeline of a saved trace
 //	rtctrace -diff a.csv b.json             # exit 1 at the first divergent event
 package main
@@ -17,15 +14,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"rtcadapt/internal/cli"
 	"rtcadapt/internal/obs"
 	"rtcadapt/internal/plot"
-	"rtcadapt/internal/scenario"
-	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
 )
 
 func main() {
@@ -49,24 +42,9 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 	fs := flag.NewFlagSet("rtctrace", flag.ContinueOnError)
 	fs.SetOutput(stderrW)
 	var (
-		exp        = fs.String("exp", "", "experiment preset: figure1 (2.5->0.8 Mbps drop at 10s, talking-head, adaptive)")
-		scen       = fs.String("scenario", "", "scenario preset or YAML/JSON scenario file; pins the path, overriding -trace/-tracefile/-loss")
-		traceKind  = fs.String("trace", "drop", "capacity trace: const | drop | lte | wifi")
-		traceFile  = fs.String("tracefile", "", "CSV capacity trace (overrides -trace)")
-		before     = fs.Float64("before", 2.5e6, "capacity before the drop, bits/s")
-		after      = fs.Float64("after", 0.8e6, "capacity after the drop, bits/s")
-		dropAt     = fs.Duration("dropat", 10*time.Second, "drop instant")
-		controller = fs.String("controller", "adaptive", "controller: native-rc | reset-only | adaptive")
-		content    = fs.String("content", "talking-head", "content: talking-head | screen-share | gaming | sports")
-		duration   = fs.Duration("duration", 30*time.Second, "session length")
-		seed       = fs.Int64("seed", 1, "random seed")
-		loss       = fs.Float64("loss", 0, "random loss probability")
-		capacity   = fs.Int("capacity", 0, "recorder ring capacity in events (0 = default)")
-		out        = fs.String("out", "", "output file; empty renders the ASCII timeline to stdout")
-		format     = fs.String("format", "", "export format: chrome | csv | ascii (default: by -out extension)")
-		width      = fs.Int("width", 64, "ASCII timeline width in buckets")
-		inspect    = fs.Bool("inspect", false, "inspect the trace file given as the positional argument")
-		diff       = fs.Bool("diff", false, "diff the two trace files given as positional arguments")
+		width   = fs.Int("width", 64, "ASCII timeline width in buckets")
+		inspect = fs.Bool("inspect", false, "inspect the trace file given as the positional argument")
+		diff    = fs.Bool("diff", false, "diff the two trace files given as positional arguments")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -88,163 +66,9 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 			return 2
 		}
 		return runDiff(fs.Arg(0), fs.Arg(1), stdout, stderr)
-	case fs.NArg() != 0:
-		stderr.Printf("rtctrace: unexpected argument %q\n", fs.Arg(0))
-		return 2
 	}
-	durationSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "duration" {
-			durationSet = true
-		}
-	})
-	return runRecord(recordOpts{
-		exp: *exp, scenario: *scen, traceKind: *traceKind, traceFile: *traceFile,
-		before: *before, after: *after, dropAt: *dropAt,
-		controller: *controller, content: *content,
-		duration: *duration, durationSet: durationSet, seed: *seed, loss: *loss,
-		capacity: *capacity, out: *out, format: *format, width: *width,
-	}, stdout, stderr)
-}
-
-// recordOpts carries the record-mode flag values.
-type recordOpts struct {
-	exp, scenario, traceKind, traceFile string
-	before, after, loss                 float64
-	dropAt, duration                    time.Duration
-	controller, content, out            string
-	format                              string
-	seed                                int64
-	capacity, width                     int
-	// durationSet records whether -duration was given explicitly; when
-	// not, a -scenario's natural span wins.
-	durationSet bool
-}
-
-// exportFormat resolves the output format from the -format override or
-// the -out extension.
-func exportFormat(out, format string) (string, error) {
-	if format != "" {
-		switch format {
-		case "chrome", "csv", "ascii":
-			return format, nil
-		}
-		return "", fmt.Errorf("unknown -format %q (want chrome | csv | ascii)", format)
-	}
-	switch filepath.Ext(out) {
-	case ".json":
-		return "chrome", nil
-	case ".csv":
-		return "csv", nil
-	default:
-		return "ascii", nil
-	}
-}
-
-// runRecord runs one recorded session and exports the trace.
-func runRecord(o recordOpts, stdout, stderr *cli.Printer) int {
-	if o.exp != "" {
-		switch o.exp {
-		case "figure1":
-			o.traceKind, o.traceFile = "drop", ""
-			o.before, o.after, o.dropAt = 2.5e6, 0.8e6, 10*time.Second
-			o.content, o.controller, o.loss = "talking-head", "adaptive", 0
-		default:
-			stderr.Printf("rtctrace: unknown -exp %q (want figure1)\n", o.exp)
-			return 2
-		}
-	}
-	fmtName, err := exportFormat(o.out, o.format)
-	if err != nil {
-		stderr.Printf("rtctrace: %v\n", err)
-		return 2
-	}
-	var scPath *scenario.Path
-	if o.scenario != "" {
-		sc, err := cli.ResolveScenario(o.scenario)
-		if err != nil {
-			stderr.Printf("rtctrace: %v\n", err)
-			return 2
-		}
-		p, err := sc.Compile(scenario.CompileConfig{Seed: o.seed, Duration: o.duration})
-		if err != nil {
-			stderr.Printf("rtctrace: %v\n", err)
-			return 2
-		}
-		scPath = &p
-	}
-	var tr *trace.Trace
-	if scPath == nil {
-		var err error
-		tr, err = cli.BuildTrace(o.traceKind, o.traceFile, o.before, o.after, o.dropAt, o.seed, o.duration)
-		if err != nil {
-			stderr.Printf("rtctrace: %v\n", err)
-			return 2
-		}
-	}
-	ctrl, err := cli.BuildController(o.controller, false)
-	if err != nil {
-		stderr.Printf("rtctrace: %v\n", err)
-		return 2
-	}
-	cls, err := cli.ParseContent(o.content)
-	if err != nil {
-		stderr.Printf("rtctrace: %v\n", err)
-		return 2
-	}
-	rec := obs.NewRecorder(o.capacity)
-	cfg := session.Config{
-		Duration:   o.duration,
-		Seed:       o.seed,
-		Content:    cls,
-		Trace:      tr,
-		LossProb:   o.loss,
-		Controller: ctrl,
-		Recorder:   rec,
-	}
-	if scPath != nil {
-		if !o.durationSet {
-			cfg.Duration = 0 // let the scenario's natural span fill it
-		}
-		cli.ApplyScenario(&cfg, *scPath)
-		if cfg.Duration == 0 {
-			cfg.Duration = o.duration
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		stderr.Printf("rtctrace: %v\n", err)
-		return 2
-	}
-	session.Run(cfg)
-	snap := rec.Snapshot()
-
-	if o.out == "" {
-		stdout.Printf("%s", plot.ObsTimeline(snap, o.width))
-		return 0
-	}
-	f, err := os.Create(o.out)
-	if err != nil {
-		stderr.Printf("rtctrace: %v\n", err)
-		return 1
-	}
-	switch fmtName {
-	case "chrome":
-		err = obs.WriteChromeJSON(f, snap)
-	case "csv":
-		err = obs.WriteCSV(f, snap)
-	case "ascii":
-		_, err = io.WriteString(f, plot.ObsTimeline(snap, o.width))
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		stderr.Printf("rtctrace: %v\n", err)
-		return 1
-	}
-	stdout.Printf("recorded %d events (%d dropped), %d counters; wrote %s (%s)\n",
-		len(snap.Events), snap.DroppedEvents, len(snap.Counters), o.out, fmtName)
-	return 0
+	stderr.Printf("rtctrace: need -inspect or -diff (record a trace with rtcsim -record)\n")
+	return 2
 }
 
 // readTraceFile loads one trace file through the format-sniffing reader.

@@ -6,28 +6,57 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"rtcadapt/internal/core"
+	"rtcadapt/internal/obs"
+	"rtcadapt/internal/session"
+	"rtcadapt/internal/trace"
+	"rtcadapt/internal/video"
 )
 
-// record runs rtctrace in record mode with the common short-session args
-// plus extra, failing the test on a nonzero exit.
-func record(t *testing.T, extra ...string) string {
+// record runs one short session with the flight recorder on and writes
+// its trace to path: Chrome JSON for .json, CSV otherwise. loss makes a
+// different run at the same seed.
+func record(t *testing.T, path string, loss float64) {
 	t.Helper()
-	args := append([]string{"-duration", "2s", "-seed", "5"}, extra...)
-	var stdout, stderr bytes.Buffer
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(%v) = %d, stderr: %s", args, code, stderr.String())
+	rec := obs.NewRecorder(0)
+	session.Run(session.Config{
+		Duration:   2 * time.Second,
+		Seed:       5,
+		Content:    video.TalkingHead,
+		Trace:      trace.StepDrop(2.5e6, 0.8e6, time.Second),
+		LossProb:   loss,
+		Controller: core.NewAdaptive(core.AdaptiveConfig{}),
+		Recorder:   rec,
+	})
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return stdout.String()
+	if filepath.Ext(path) == ".json" {
+		err = obs.WriteChromeJSON(f, rec.Snapshot())
+	} else {
+		err = obs.WriteCSV(f, rec.Snapshot())
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
+// TestRecordExportsAllFormats checks that both machine-readable exports of
+// one recording (Chrome JSON and CSV) carry their format markers and read
+// back as the same trace. The ASCII export is write-only; rtcsim's tests
+// cover it.
 func TestRecordExportsAllFormats(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "t.json")
 	csvPath := filepath.Join(dir, "t.csv")
-	asciiPath := filepath.Join(dir, "t.txt")
-	record(t, "-out", jsonPath)
-	record(t, "-out", csvPath)
-	record(t, "-out", asciiPath)
+	record(t, jsonPath, 0)
+	record(t, csvPath, 0)
 
 	j, err := os.ReadFile(jsonPath)
 	if err != nil {
@@ -43,17 +72,31 @@ func TestRecordExportsAllFormats(t *testing.T) {
 	if !bytes.HasPrefix(c, []byte("type,seq,at_ns,track,kind,attrs")) {
 		t.Errorf("csv export missing header: %.60s", c)
 	}
-	a, err := os.ReadFile(asciiPath)
-	if err != nil {
-		t.Fatal(err)
+
+	// Past the first line (which names the file), inspecting either export
+	// must print the same counters and timeline.
+	var bodies []string
+	for _, path := range []string{jsonPath, csvPath} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-inspect", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("inspect %s exit %d, stderr: %s", path, code, stderr.String())
+		}
+		_, body, _ := strings.Cut(stdout.String(), "\n")
+		bodies = append(bodies, body)
 	}
-	if !bytes.Contains(a, []byte("obs timeline")) {
-		t.Errorf("ascii export missing timeline banner: %.60s", a)
+	if bodies[0] != bodies[1] {
+		t.Errorf("json and csv exports inspect differently:\n%s\n---\n%s", bodies[0], bodies[1])
 	}
 }
 
 func TestRecordTimelineToStdout(t *testing.T) {
-	out := record(t, "-exp", "figure1")
+	path := filepath.Join(t.TempDir(), "t.json")
+	record(t, path, 0)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-inspect", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("inspect exit %d, stderr: %s", code, stderr.String())
+	}
+	out := stdout.String()
 	if !strings.Contains(out, "obs timeline") || !strings.Contains(out, "cc ") {
 		t.Fatalf("stdout timeline missing tracks:\n%s", out)
 	}
@@ -61,7 +104,7 @@ func TestRecordTimelineToStdout(t *testing.T) {
 
 func TestInspect(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.csv")
-	record(t, "-out", path)
+	record(t, path, 0)
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-inspect", path}, &stdout, &stderr); code != 0 {
 		t.Fatalf("inspect exit %d, stderr: %s", code, stderr.String())
@@ -78,9 +121,9 @@ func TestDiffIdenticalRuns(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.csv")
 	b := filepath.Join(dir, "b.json")
-	record(t, "-exp", "figure1", "-out", a)
+	record(t, a, 0)
 	// Same seed, different export format: the diff must see one trace.
-	record(t, "-exp", "figure1", "-out", b)
+	record(t, b, 0)
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-diff", a, b}, &stdout, &stderr); code != 0 {
 		t.Fatalf("diff of identical runs exit %d: %s%s", code, stdout.String(), stderr.String())
@@ -94,8 +137,8 @@ func TestDiffDivergentRuns(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.csv")
 	b := filepath.Join(dir, "b.csv")
-	record(t, "-out", a)
-	record(t, "-out", b, "-loss", "0.05")
+	record(t, a, 0)
+	record(t, b, 0.05)
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-diff", a, b}, &stdout, &stderr); code != 1 {
 		t.Fatalf("diff of divergent runs exit %d, want 1", code)
@@ -112,12 +155,14 @@ func TestBadInvocations(t *testing.T) {
 		args []string
 	}{
 		{"unknown flag", []string{"-definitely-not-a-flag"}},
-		{"unknown exp", []string{"-exp", "figure99"}},
-		{"unknown format", []string{"-format", "xml", "-out", "t.bin"}},
-		{"unknown trace", []string{"-trace", "dsl"}},
+		{"trace flag undefined", []string{"-trace", "drop"}},
+		{"tracefile flag undefined", []string{"-tracefile", missing}},
+		{"loss flag undefined", []string{"-loss", "0.01"}},
+		// Record-mode flags are gone with record mode (now rtcsim -record):
+		// rtctrace rejects them as undefined flags.
 		{"unknown controller", []string{"-controller", "psychic"}},
 		{"unknown content", []string{"-content", "cats"}},
-		{"loss out of range", []string{"-loss", "2"}},
+		{"no mode", nil},
 		{"inspect and diff", []string{"-inspect", "-diff", "a", "b"}},
 		{"inspect missing arg", []string{"-inspect"}},
 		{"diff one arg", []string{"-diff", "a.csv"}},

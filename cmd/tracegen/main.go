@@ -8,43 +8,69 @@ package main
 
 import (
 	"flag"
-	"fmt"
+	"io"
+	"math"
 	"os"
 	"time"
 
+	"rtcadapt/internal/cli"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point; it returns the process exit code.
+// Every flag value is checked, whatever the kind, before a trace is
+// generated.
+func run(args []string, stdoutW, stderrW io.Writer) int {
+	stderr := &cli.Printer{W: stderrW}
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderrW)
 	var (
-		kind     = flag.String("kind", "drop", "trace kind: const | drop | staircase | oscillating | lte | wifi | randomwalk")
-		duration = flag.Duration("duration", 60*time.Second, "trace length (synthetic kinds)")
-		mean     = flag.Float64("mean", 3e6, "mean capacity, bits/s (lte/wifi/const)")
-		before   = flag.Float64("before", 2.5e6, "pre-drop capacity, bits/s")
-		after    = flag.Float64("after", 0.8e6, "post-drop capacity, bits/s")
-		dropAt   = flag.Duration("dropat", 10*time.Second, "drop instant")
-		seed     = flag.Int64("seed", 1, "random seed")
-		inspect  = flag.String("inspect", "", "print statistics of an existing CSV trace instead of generating")
+		kind     = fs.String("kind", "drop", "trace kind: const | drop | staircase | oscillating | lte | wifi | randomwalk")
+		duration = fs.Duration("duration", 60*time.Second, "trace length (synthetic kinds)")
+		mean     = fs.Float64("mean", 3e6, "mean capacity, bits/s (lte/wifi/const)")
+		before   = fs.Float64("before", 2.5e6, "pre-drop capacity, bits/s")
+		after    = fs.Float64("after", 0.8e6, "post-drop capacity, bits/s")
+		dropAt   = fs.Duration("dropat", 10*time.Second, "drop instant")
+		seed     = fs.Int64("seed", 1, "random seed")
+		inspect  = fs.String("inspect", "", "print statistics of an existing CSV trace instead of generating")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 0 {
+		stderr.Printf("tracegen: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	if *inspect != "" {
-		f, err := os.Open(*inspect)
-		if err != nil {
-			fatal(err)
+		if err := inspectTrace(*inspect, stdoutW); err != nil {
+			stderr.Printf("tracegen: %v\n", err)
+			return 1
 		}
-		defer f.Close()
-		tr, err := trace.ReadCSV(*inspect, f)
-		if err != nil {
-			fatal(err)
+		return 0
+	}
+
+	for _, r := range []struct {
+		name string
+		bps  float64
+	}{{"mean", *mean}, {"before", *before}, {"after", *after}} {
+		if !(r.bps > 0) || math.IsInf(r.bps, 1) {
+			stderr.Printf("tracegen: -%s %v is not a positive finite rate\n", r.name, r.bps)
+			return 2
 		}
-		points := tr.Points()
-		end := points[len(points)-1].At + time.Second
-		fmt.Printf("trace %s: %d breakpoints, span %v\n", tr.Name(), len(points), points[len(points)-1].At)
-		fmt.Printf("mean %.2f Mbps, min %.2f Mbps\n",
-			tr.MeanRate(0, end).Mbps(), tr.MinRate(0, end).Mbps())
-		return
+	}
+	if *duration <= 0 {
+		stderr.Printf("tracegen: -duration %v must be positive\n", *duration)
+		return 2
+	}
+	if *dropAt <= 0 {
+		stderr.Printf("tracegen: -dropat %v must be positive\n", *dropAt)
+		return 2
 	}
 
 	var tr *trace.Trace
@@ -65,14 +91,33 @@ func main() {
 	case "randomwalk":
 		tr = trace.RandomWalk(*seed, *duration, 200*time.Millisecond, *mean, *mean/5, *mean*2)
 	default:
-		fatal(fmt.Errorf("unknown trace kind %q", *kind))
+		stderr.Printf("tracegen: unknown trace kind %q\n", *kind)
+		return 2
 	}
-	if err := tr.WriteCSV(os.Stdout); err != nil {
-		fatal(err)
+	if err := tr.WriteCSV(stdoutW); err != nil {
+		stderr.Printf("tracegen: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
+// inspectTrace prints the breakpoint count, span and rate statistics of
+// a CSV trace file to w.
+func inspectTrace(path string, w io.Writer) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	tr, err := trace.ReadCSV(path, f)
+	if err != nil {
+		return err
+	}
+	stdout := &cli.Printer{W: w}
+	points := tr.Points()
+	end := points[len(points)-1].At + time.Second
+	stdout.Printf("trace %s: %d breakpoints, span %v\n", tr.Name(), len(points), points[len(points)-1].At)
+	stdout.Printf("mean %.2f Mbps, min %.2f Mbps\n",
+		tr.MeanRate(0, end).Mbps(), tr.MinRate(0, end).Mbps())
+	return stdout.Err
 }

@@ -1,52 +1,10 @@
 package cli
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 
-	"rtcadapt/internal/trace"
 	"rtcadapt/internal/video"
 )
-
-func TestBuildTraceKinds(t *testing.T) {
-	for _, kind := range []string{"const", "drop", "lte", "wifi"} {
-		tr, err := BuildTrace(kind, "", 2e6, 1e6, 5*time.Second, 1, 10*time.Second)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if bps, _ := tr.RateAt(0); bps <= 0 {
-			t.Errorf("%s: zero rate", kind)
-		}
-	}
-	if _, err := BuildTrace("bogus", "", 1, 1, 0, 1, time.Second); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
-func TestBuildTraceFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.csv")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.StepDrop(2e6, 1e6, time.Second).WriteCSV(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	tr, err := BuildTrace("ignored", path, 0, 0, 0, 0, 0)
-	if err != nil {
-		t.Fatalf("BuildTrace(file): %v", err)
-	}
-	if bps, _ := tr.RateAt(2 * time.Second); bps != 1e6 {
-		t.Errorf("rate = %v", bps)
-	}
-	if _, err := BuildTrace("", filepath.Join(dir, "missing.csv"), 0, 0, 0, 0, 0); err == nil {
-		t.Error("missing file accepted")
-	}
-}
 
 func TestBuildController(t *testing.T) {
 	for _, name := range []string{"native-rc", "reset-only", "adaptive"} {

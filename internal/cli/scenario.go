@@ -3,6 +3,7 @@ package cli
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"rtcadapt/internal/netem"
@@ -11,19 +12,28 @@ import (
 )
 
 // ResolveScenario maps a -scenario flag value to a scenario: a preset
-// name from the registry, or a path to a YAML/JSON scenario file (any
-// value containing a path separator or a .yaml/.yml/.json suffix, or
-// naming an existing file, is treated as a file).
+// name from the registry, a path to a YAML/JSON scenario file, or a path
+// to a "seconds,bps" capacity trace (.csv suffix, as tracegen writes),
+// which becomes a trace_csv scenario named after the file. Any value
+// containing a path separator or a .yaml/.yml/.json/.csv suffix, or
+// naming an existing file, is treated as a file.
 func ResolveScenario(arg string) (scenario.Scenario, error) {
 	if arg == "" {
 		return scenario.Scenario{}, fmt.Errorf("empty scenario")
+	}
+	if strings.HasSuffix(arg, ".csv") {
+		if _, err := os.Stat(arg); err != nil {
+			return scenario.Scenario{}, err
+		}
+		s := scenario.Scenario{Name: strings.TrimSuffix(filepath.Base(arg), ".csv"), TraceCSV: arg}
+		return s, s.Validate()
 	}
 	if looksLikeFile(arg) {
 		return scenario.ParseFile(arg)
 	}
 	s, err := scenario.Preset(arg)
 	if err != nil {
-		return scenario.Scenario{}, fmt.Errorf("%w (or pass a .yaml/.json scenario file)", err)
+		return scenario.Scenario{}, fmt.Errorf("%w (or pass a .yaml/.json scenario file or a .csv capacity trace)", err)
 	}
 	return s, nil
 }

@@ -69,9 +69,11 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // LoadModule loads every package under root, mapping the root directory to
-// importPrefix (the module path). Directories named testdata or vendor, and
-// directories whose name starts with "." or "_", are skipped, as are
-// _test.go files: analyzers enforce production-code invariants.
+// importPrefix (the module path). Directories named testdata or vendor,
+// directories whose name starts with "." or "_", and nested modules
+// (directories below root holding their own go.mod, which `go build ./...`
+// also skips) are skipped, as are _test.go files: analyzers enforce
+// production-code invariants.
 func (l *Loader) LoadModule(root, importPrefix string) ([]*Package, error) {
 	dirs, err := packageDirs(root)
 	if err != nil {
@@ -105,8 +107,8 @@ func (l *Loader) LoadModule(root, importPrefix string) ([]*Package, error) {
 	return out, nil
 }
 
-// packageDirs returns every directory under root that may hold a package,
-// in lexical order.
+// packageDirs returns every directory under root that may hold a package
+// of root's module, in lexical order.
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.Walk(root, func(path string, fi os.FileInfo, err error) error {
@@ -120,6 +122,11 @@ func packageDirs(root string) ([]string, error) {
 		if path != root && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != root {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		dirs = append(dirs, path)
 		return nil
