@@ -2,7 +2,7 @@ GO       ?= go
 PKGS     := ./...
 FUZZTIME ?= 10s
 
-.PHONY: build test race lint lint-fix lint-purity lint-units lint-baseline-check lint-budget fuzz-smoke bench bench-parallel bench-json bench-smoke fleet-smoke trace-smoke scenario-smoke profile check
+.PHONY: build test race lint lint-fix lint-purity lint-units lint-baseline-check lint-budget fuzz-smoke bench bench-parallel bench-json bench-smoke fleet-smoke trace-smoke scenario-smoke results-smoke profile check
 
 build:
 	$(GO) build $(PKGS)
@@ -87,6 +87,21 @@ scenario-smoke:
 	$(GO) run ./cmd/benchdrop -exp scenarios -scenario standard,lte,oscillating \
 		-seeds 2 -duration 10s -parallel 4 > build/scenario-smoke/sweep.txt
 	diff docs/scenario_snapshot.txt build/scenario-smoke/sweep.txt
+
+# Paper-suite determinism gate. Renders every table and figure and diffs
+# them against the committed snapshot (minus its first line), then checks
+# that the CSV rows are byte-identical on one worker and on four. A
+# mismatch means an experiment, the seed grid or the parallel merge
+# changed output bytes. Regenerate the snapshot (and review the diff)
+# with: go run ./cmd/benchdrop -exp all > docs/results_snapshot.txt
+results-smoke:
+	mkdir -p build/results-smoke
+	$(GO) run ./cmd/benchdrop -exp all > build/results-smoke/all.txt
+	tail -n +2 docs/results_snapshot.txt > build/results-smoke/want.txt
+	tail -n +2 build/results-smoke/all.txt | diff build/results-smoke/want.txt -
+	$(GO) run ./cmd/benchdrop -exp all -format csv -parallel 1 > build/results-smoke/parallel1.csv
+	$(GO) run ./cmd/benchdrop -exp all -format csv -parallel 4 > build/results-smoke/parallel4.csv
+	cmp build/results-smoke/parallel1.csv build/results-smoke/parallel4.csv
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(PKGS)

@@ -25,12 +25,15 @@ import (
 // five seeds by default.
 var benchSeeds = []int64{1, 2}
 
+// suite runs the experiments on the default GOMAXPROCS pool.
+var suite = &experiments.Runner{}
+
 // BenchmarkFigure1DropTimeline regenerates the motivating latency
 // timeline (Figure 1) and reports each controller's post-drop peak.
 func BenchmarkFigure1DropTimeline(b *testing.B) {
 	var basePeak, adptPeak float64
 	for i := 0; i < b.N; i++ {
-		series := experiments.Figure1(1)
+		series := suite.Figure1(1)
 		peak := func(s experiments.Figure1Series) float64 {
 			m := 0.0
 			for j, x := range s.X {
@@ -51,7 +54,7 @@ func BenchmarkFigure1DropTimeline(b *testing.B) {
 func BenchmarkTable1LatencyReduction(b *testing.B) {
 	var lo, hi float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1(benchSeeds)
+		rows := suite.Table1(benchSeeds)
 		lo, hi = 1e9, -1e9
 		for _, r := range rows {
 			if r.ReductionPct < lo {
@@ -71,7 +74,7 @@ func BenchmarkTable1LatencyReduction(b *testing.B) {
 func BenchmarkTable2Quality(b *testing.B) {
 	var lo, hi float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table2(benchSeeds)
+		rows := suite.Table2(benchSeeds)
 		lo, hi = 1e9, -1e9
 		for _, r := range rows {
 			if r.DispDeltaPct < lo {
@@ -91,7 +94,7 @@ func BenchmarkTable2Quality(b *testing.B) {
 func BenchmarkFigure2SeveritySweep(b *testing.B) {
 	var mild, severe float64
 	for i := 0; i < b.N; i++ {
-		points := experiments.Figure2(benchSeeds)
+		points := suite.Figure2(benchSeeds)
 		mild = points[0].ReductionPct
 		severe = points[len(points)-1].ReductionPct
 	}
@@ -104,7 +107,7 @@ func BenchmarkFigure2SeveritySweep(b *testing.B) {
 func BenchmarkFigure3LatencyCDF(b *testing.B) {
 	p95 := map[experiments.ControllerKind]float64{}
 	for i := 0; i < b.N; i++ {
-		for _, s := range experiments.Figure3(benchSeeds) {
+		for _, s := range suite.Figure3(benchSeeds) {
 			p95[s.Kind] = s.P95
 		}
 	}
@@ -120,7 +123,7 @@ func BenchmarkFigure3LatencyCDF(b *testing.B) {
 func BenchmarkTable3Ablation(b *testing.B) {
 	var full, base float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3(benchSeeds)
+		rows := suite.Table3(benchSeeds)
 		for _, r := range rows {
 			switch r.Variant {
 			case "full":
@@ -139,7 +142,7 @@ func BenchmarkTable3Ablation(b *testing.B) {
 func BenchmarkFigure4Traces(b *testing.B) {
 	means := map[experiments.ControllerKind]float64{}
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure4([]int64{1})
+		rows := suite.Figure4([]int64{1})
 		sums := map[experiments.ControllerKind]float64{}
 		counts := map[experiments.ControllerKind]int{}
 		for _, r := range rows {
@@ -159,7 +162,7 @@ func BenchmarkFigure4Traces(b *testing.B) {
 func BenchmarkFigure5LossRobustness(b *testing.B) {
 	var pliOnly, nack float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Figure5([]int64{1}) {
+		for _, r := range suite.Figure5([]int64{1}) {
 			if r.Condition.Name != "2%" {
 				continue
 			}
@@ -180,7 +183,7 @@ func BenchmarkFigure5LossRobustness(b *testing.B) {
 func BenchmarkFigure6Resolution(b *testing.B) {
 	var offP95, onP95 float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Figure6([]int64{1}) {
+		for _, r := range suite.Figure6([]int64{1}) {
 			if r.After != 0.25e6 {
 				continue
 			}
@@ -237,7 +240,7 @@ func BenchmarkPostDropSummary(b *testing.B) {
 func BenchmarkFigure7Fairness(b *testing.B) {
 	var jain float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Figure7([]int64{1}) {
+		for _, r := range suite.Figure7([]int64{1}) {
 			if r.Pairing == "adaptive+adaptive" {
 				jain = r.Jain
 			}
@@ -251,7 +254,7 @@ func BenchmarkFigure7Fairness(b *testing.B) {
 func BenchmarkFigure8Estimators(b *testing.B) {
 	p95 := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Figure8([]int64{1}) {
+		for _, r := range suite.Figure8([]int64{1}) {
 			p95[r.Estimator] = r.PostP95.Seconds() * 1000
 		}
 	}
@@ -266,7 +269,7 @@ func BenchmarkFigure8Estimators(b *testing.B) {
 func BenchmarkFigure9SFU(b *testing.B) {
 	var off, on float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Figure9([]int64{1}) {
+		for _, r := range suite.Figure9([]int64{1}) {
 			if r.Receiver != "weak-1.5Mbps" {
 				continue
 			}
@@ -287,7 +290,7 @@ func BenchmarkFigure9SFU(b *testing.B) {
 func BenchmarkFigure10Recovery(b *testing.B) {
 	var off, on float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range experiments.Figure10([]int64{1}) {
+		for _, r := range suite.Figure10([]int64{1}) {
 			if r.Controller != "adaptive" {
 				continue
 			}

@@ -135,7 +135,7 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 			cfg.Duration = *duration
 		}
 	})
-	cli.ApplyScenario(&cfg, path)
+	cfg.ApplyPath(path)
 	if cfg.Duration == 0 {
 		cfg.Duration = *duration
 	}

@@ -1,8 +1,8 @@
 // Package cli holds the flag-value parsers shared by the command-line
 // tools: -scenario resolution (a preset, a YAML/JSON scenario file or a
-// CSV capacity trace) and how a resolved path lands in a session config,
-// controller selection, content-class lookup, profiling helpers and the
-// error-remembering Printer, kept here so they are unit-testable.
+// CSV capacity trace), controller selection, content-class lookup,
+// profiling helpers and the error-remembering Printer, kept here so they
+// are unit-testable.
 package cli
 
 import (

@@ -22,3 +22,14 @@ func (p *Printer) Printf(format string, args ...any) {
 	}
 	_, p.Err = fmt.Fprintf(p.W, format, args...)
 }
+
+// Write makes a Printer an io.Writer, for encoders such as csv.Writer,
+// with the same first-error memory.
+func (p *Printer) Write(b []byte) (int, error) {
+	if p.Err != nil {
+		return 0, p.Err
+	}
+	n, err := p.W.Write(b)
+	p.Err = err
+	return n, err
+}

@@ -8,8 +8,6 @@ import (
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
-	"rtcadapt/internal/video"
 )
 
 // ---------------------------------------------------------------------------
@@ -31,79 +29,46 @@ type Figure8Row struct {
 	MeanSSIM   float64
 }
 
-// Figure8 runs the estimator comparison on the default parallel runner.
-func Figure8(seeds []int64) []Figure8Row { return (&Runner{}).Figure8(seeds) }
-
 // Figure8 runs the 2.5->0.8 Mbps drop with the adaptive controller under
-// each estimator. Cells are (estimator, seed).
+// each estimator. Rows are estimators.
 func (r *Runner) Figure8(seeds []int64) []Figure8Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
-	dropAt := 10 * time.Second
-	estimators := []struct {
+	sc := canonicalDrop()
+	type estimator struct {
 		name string
 		mk   func(capacity cc.CapacityFunc) cc.Estimator
-	}{
+	}
+	estimators := []estimator{
 		{"gcc", nil}, // session default
 		{"bbr", func(cc.CapacityFunc) cc.Estimator { return cc.NewBBR(1e6) }},
 		{"loss-based", func(cc.CapacityFunc) cc.Estimator { return cc.NewLossBased(1e6) }},
 		{"oracle", func(capacity cc.CapacityFunc) cc.Estimator { return cc.NewOracle(capacity, 0.95) }},
 	}
-	type cell struct {
-		estimator int
-		seed      int64
-	}
-	cells := make([]cell, 0, len(estimators)*len(seeds))
-	for ei := range estimators {
-		for _, seed := range seeds {
-			cells = append(cells, cell{estimator: ei, seed: seed})
-		}
-	}
 	type sample struct{ p95, rate, ssim float64 }
-	samples := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("figure8 %s seed=%d", estimators[c.estimator].name, c.seed)
-	}, func(i int) sample {
-		c := cells[i]
-		e := estimators[c.estimator]
-		cfg := session.Config{
-			Duration:    30 * time.Second,
-			Seed:        c.seed,
-			Content:     video.TalkingHead,
-			Trace:       trace.StepDrop(2.5e6, 0.8e6, dropAt),
-			InitialRate: 1e6,
-			Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
-		}
+	samples := seedGrid(r, estimators, seeds, func(e estimator) string {
+		return "figure8 " + e.name
+	}, func(e estimator, seed int64) sample {
+		cfg := buildConfig(sc.path(), sc.Content, KindAdaptive, seed, core.AdaptiveConfig{})
 		if e.mk != nil {
-			mk := e.mk
-			cfg.NewEstimator = func(capacity cc.CapacityFunc) cc.Estimator { return mk(capacity) }
-		}
-		if err := cfg.Validate(); err != nil {
-			panic(fmt.Sprintf("experiments: bad figure8 config: %v", err))
+			cfg.NewEstimator = e.mk
 		}
 		res := session.Run(cfg)
-		post := metrics.Summarize(res.Records, dropAt, dropAt+5*time.Second, res.FrameInterval)
 		late := metrics.Summarize(res.Records, 20*time.Second, 30*time.Second, res.FrameInterval)
 		return sample{
-			p95:  post.P95NetDelay.Seconds(),
+			p95:  postDrop(sc, res).P95NetDelay.Seconds(),
 			rate: late.Bitrate,
 			ssim: res.Report.MeanSSIM,
 		}
 	})
 
 	var rows []Figure8Row
-	i := 0
-	for _, e := range estimators {
+	for i, e := range estimators {
 		var p95, rate, ssim float64
-		for range seeds {
-			s := samples[i]
-			i++
+		for _, s := range samples[i] {
 			p95 += s.p95
 			rate += s.rate
 			ssim += s.ssim
 		}
-		n := float64(len(seeds))
+		n := float64(len(samples[i]))
 		rows = append(rows, Figure8Row{
 			Estimator:  e.name,
 			PostP95:    time.Duration(p95 / n * float64(time.Second)),

@@ -1,7 +1,8 @@
 // Package experiments defines and runs the paper's evaluation suite. Each
-// exported function regenerates one table or figure from DESIGN.md's
-// experiment inventory, returning typed results plus a rendered text block
-// matching what the poster reports.
+// Runner method regenerates one table or figure from DESIGN.md's
+// experiment inventory as typed results, and a Render function turns
+// them into the text block the poster reports. Registry lists every
+// experiment with one run that renders it as text and as CSV.
 //
 // Experiments average over multiple seeds; every run is deterministic given
 // its seed.
@@ -16,6 +17,7 @@ import (
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/plot"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
 	"rtcadapt/internal/stats"
 	"rtcadapt/internal/trace"
@@ -99,18 +101,17 @@ func Kinds() []ControllerKind {
 	return []ControllerKind{KindNative, KindResetOnly, KindAdaptive, KindAdaptiveOracle}
 }
 
-// buildConfig assembles a session config for a scenario, controller kind
-// and seed. adaptiveCfg is used for the adaptive kinds (ablations override
-// it).
-func buildConfig(tr *trace.Trace, content video.Class, kind ControllerKind,
-	seed int64, dur time.Duration, adaptiveCfg core.AdaptiveConfig) session.Config {
-	cfg := session.Config{
-		Duration:    dur,
-		Seed:        seed,
-		Content:     content,
-		Trace:       tr,
-		InitialRate: 1e6,
-	}
+// headToHead is the native baseline against the paper's scheme, the
+// pairing most experiments compare.
+func headToHead() []ControllerKind { return []ControllerKind{KindNative, KindAdaptive} }
+
+// buildConfig assembles a session config over a path for a controller
+// kind and seed. adaptiveCfg is used for the adaptive kinds (ablations
+// override it).
+func buildConfig(p scenario.Path, content video.Class, kind ControllerKind,
+	seed int64, adaptiveCfg core.AdaptiveConfig) session.Config {
+	cfg := session.Config{Seed: seed, Content: content, InitialRate: 1e6}
+	cfg.ApplyPath(p)
 	attachController(&cfg, kind, adaptiveCfg)
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("experiments: bad scenario config: %v", err))
@@ -139,10 +140,27 @@ func attachController(cfg *session.Config, kind ControllerKind, adaptiveCfg core
 	}
 }
 
+// canonicalDrop is the motivating scenario of Figures 1, 3 and 8:
+// 2.5 -> 0.8 Mbps at t=10 s, talking-head.
+func canonicalDrop() DropScenario {
+	return DropScenario{
+		Name: "2.5->0.8", Before: 2.5e6, After: 0.8e6,
+		DropAt: 10 * time.Second, Content: video.TalkingHead,
+	}
+}
+
+// path is the scenario's capacity step over a session that runs 20 s
+// past the drop.
+func (s DropScenario) path() scenario.Path {
+	return scenario.Path{
+		Trace:    trace.StepDrop(s.Before, s.After, s.DropAt),
+		Duration: s.DropAt + 20*time.Second,
+	}
+}
+
 // runDrop executes one drop scenario under one controller kind.
-func (r *Runner) runDrop(sc DropScenario, kind ControllerKind, seed int64) session.Result {
-	tr := trace.StepDrop(sc.Before, sc.After, sc.DropAt)
-	return session.Run(buildConfig(tr, sc.Content, kind, seed, sc.DropAt+20*time.Second, core.AdaptiveConfig{}))
+func runDrop(sc DropScenario, kind ControllerKind, seed int64) session.Result {
+	return session.Run(buildConfig(sc.path(), sc.Content, kind, seed, core.AdaptiveConfig{}))
 }
 
 // PostDropWindow is the analysis window after the drop used across
@@ -152,6 +170,20 @@ const PostDropWindow = 5 * time.Second
 // postDrop summarizes the window [DropAt, DropAt+PostDropWindow).
 func postDrop(sc DropScenario, res session.Result) metrics.Report {
 	return metrics.Summarize(res.Records, sc.DropAt, sc.DropAt+PostDropWindow, res.FrameInterval)
+}
+
+// dropRow is one row of a drop comparison: a scenario under a kind.
+type dropRow = pair[DropScenario, ControllerKind]
+
+// postDropP95 runs one drop cell and returns its post-drop P95 latency
+// in seconds.
+func postDropP95(row dropRow, seed int64) float64 {
+	return postDrop(row.a, runDrop(row.a, row.b, seed)).P95NetDelay.Seconds()
+}
+
+// labelDrop names a drop row for progress reporting.
+func labelDrop(exp string) func(dropRow) string {
+	return func(row dropRow) string { return fmt.Sprintf("%s %s %s", exp, row.a, row.b) }
 }
 
 // ---------------------------------------------------------------------------
@@ -168,51 +200,18 @@ type Table1Row struct {
 	Significant              bool
 }
 
-// Table1 runs the drop matrix on the default parallel runner.
-func Table1(seeds []int64) []Table1Row { return (&Runner{}).Table1(seeds) }
-
-// Table1 runs the drop matrix and returns one row per scenario. Cells are
-// (scenario, controller, seed); results merge in canonical cell order.
+// Table1 runs the drop matrix and returns one row per scenario. Rows are
+// (scenario, controller); a scenario's two rows reduce to one Table1Row.
 func (r *Runner) Table1(seeds []int64) []Table1Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
-	scenarios := DropMatrix()
-	kinds := []ControllerKind{KindNative, KindAdaptive}
-	type cell struct {
-		sc   DropScenario
-		kind ControllerKind
-		seed int64
-	}
-	cells := make([]cell, 0, len(scenarios)*len(seeds)*len(kinds))
-	for _, sc := range scenarios {
-		for _, seed := range seeds {
-			for _, kind := range kinds {
-				cells = append(cells, cell{sc: sc, kind: kind, seed: seed})
-			}
-		}
-	}
-	p95s := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("table1 %s %s seed=%d", c.sc, c.kind, c.seed)
-	}, func(i int) float64 {
-		c := cells[i]
-		return postDrop(c.sc, r.runDrop(c.sc, c.kind, c.seed)).P95NetDelay.Seconds()
-	})
-
-	var rows []Table1Row
-	i := 0
-	for _, sc := range scenarios {
-		var baseS, adptS []float64
-		for range seeds {
-			baseS = append(baseS, p95s[i])
-			adptS = append(adptS, p95s[i+1])
-			i += 2
-		}
+	rows := cross(DropMatrix(), headToHead())
+	p95s := seedGrid(r, rows, seeds, labelDrop("table1"), postDropP95)
+	var out []Table1Row
+	for i := 0; i < len(rows); i += 2 {
+		baseS, adptS := p95s[i], p95s[i+1]
 		base, _ := stats.MeanStd(baseS)
 		adpt, _ := stats.MeanStd(adptS)
-		rows = append(rows, Table1Row{
-			Scenario:     sc,
+		out = append(out, Table1Row{
+			Scenario:     rows[i].a,
 			BaselineP95:  time.Duration(base * float64(time.Second)),
 			AdaptiveP95:  time.Duration(adpt * float64(time.Second)),
 			BaselineCI:   time.Duration(stats.CI95(baseS) * float64(time.Second)),
@@ -221,7 +220,7 @@ func (r *Runner) Table1(seeds []int64) []Table1Row {
 			Significant:  stats.SignificantlyDifferent(baseS, adptS),
 		})
 	}
-	return rows
+	return out
 }
 
 // RenderTable1 renders Table 1 as text. Reductions not significant at the
@@ -265,56 +264,29 @@ type Table2Row struct {
 	DispDeltaPct               float64
 }
 
-// Table2 runs the drop matrix on the default parallel runner.
-func Table2(seeds []int64) []Table2Row { return (&Runner{}).Table2(seeds) }
-
 // Table2 runs the drop matrix and compares session mean SSIM in both the
-// encoded and displayed senses. Cells are (scenario, controller, seed).
+// encoded and displayed senses. Rows are (scenario, controller).
 func (r *Runner) Table2(seeds []int64) []Table2Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
-	scenarios := DropMatrix()
-	kinds := []ControllerKind{KindNative, KindAdaptive}
-	type cell struct {
-		sc   DropScenario
-		kind ControllerKind
-		seed int64
-	}
-	cells := make([]cell, 0, len(scenarios)*len(seeds)*len(kinds))
-	for _, sc := range scenarios {
-		for _, seed := range seeds {
-			for _, kind := range kinds {
-				cells = append(cells, cell{sc: sc, kind: kind, seed: seed})
-			}
-		}
-	}
+	rows := cross(DropMatrix(), headToHead())
 	type ssims struct{ enc, disp float64 }
-	reports := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("table2 %s %s seed=%d", c.sc, c.kind, c.seed)
-	}, func(i int) ssims {
-		c := cells[i]
-		rep := r.runDrop(c.sc, c.kind, c.seed).Report
+	reports := seedGrid(r, rows, seeds, labelDrop("table2"), func(row dropRow, seed int64) ssims {
+		rep := runDrop(row.a, row.b, seed).Report
 		return ssims{enc: rep.EncodedSSIM, disp: rep.MeanSSIM}
 	})
-
-	var rows []Table2Row
-	i := 0
-	for _, sc := range scenarios {
+	var out []Table2Row
+	for i := 0; i < len(rows); i += 2 {
 		var bEnc, aEnc, bDisp, aDisp float64
-		for range seeds {
-			b, a := reports[i], reports[i+1]
-			i += 2
+		for s, b := range reports[i] {
+			a := reports[i+1][s]
 			bEnc += b.enc
 			aEnc += a.enc
 			bDisp += b.disp
 			aDisp += a.disp
 		}
-		n := float64(len(seeds))
+		n := float64(len(reports[i]))
 		bEnc, aEnc, bDisp, aDisp = bEnc/n, aEnc/n, bDisp/n, aDisp/n
-		rows = append(rows, Table2Row{
-			Scenario:     sc,
+		out = append(out, Table2Row{
+			Scenario:     rows[i].a,
 			BaselineEnc:  bEnc,
 			AdaptiveEnc:  aEnc,
 			EncDeltaPct:  (aEnc/bEnc - 1) * 100,
@@ -323,7 +295,7 @@ func (r *Runner) Table2(seeds []int64) []Table2Row {
 			DispDeltaPct: (aDisp/bDisp - 1) * 100,
 		})
 	}
-	return rows
+	return out
 }
 
 // RenderTable2 renders Table 2 as text.
@@ -361,24 +333,23 @@ type Figure1Series struct {
 	Timeline []session.TimelinePoint
 }
 
-// Figure1 runs the motivating scenario on the default parallel runner.
-func Figure1(seed int64) []Figure1Series { return (&Runner{}).Figure1(seed) }
-
 // Figure1 runs the motivating scenario (2.5 -> 0.8 Mbps at t=10 s,
-// talking-head) for the baseline and the adaptive controller.
+// talking-head) for the baseline and the adaptive controller, one
+// session each at seed.
 func (r *Runner) Figure1(seed int64) []Figure1Series {
-	sc := DropScenario{
-		Name: "2.5->0.8", Before: 2.5e6, After: 0.8e6,
-		DropAt: 10 * time.Second, Content: video.TalkingHead,
-	}
-	kinds := []ControllerKind{KindNative, KindAdaptive}
-	return mapCells(r, len(kinds), func(i int) string {
-		return fmt.Sprintf("figure1 %s seed=%d", kinds[i], seed)
-	}, func(i int) Figure1Series {
-		res := r.runDrop(sc, kinds[i], seed)
+	sc := canonicalDrop()
+	runs := seedGrid(r, headToHead(), []int64{seed}, func(kind ControllerKind) string {
+		return "figure1 " + string(kind)
+	}, func(kind ControllerKind, seed int64) Figure1Series {
+		res := runDrop(sc, kind, seed)
 		x, y := metrics.DelaySeries(res.Records)
-		return Figure1Series{Kind: kinds[i], X: x, Y: y, Timeline: res.Timeline}
+		return Figure1Series{Kind: kind, X: x, Y: y, Timeline: res.Timeline}
 	})
+	out := make([]Figure1Series, len(runs))
+	for i, run := range runs {
+		out[i] = run[0]
+	}
+	return out
 }
 
 // RenderFigure1 renders both latency series on one ASCII chart around the

@@ -10,6 +10,9 @@ import (
 // quickSeeds keeps experiment tests fast; full runs use DefaultSeeds.
 var quickSeeds = []int64{1, 2}
 
+// suite is the default parallel runner the shape tests share.
+var suite = &Runner{}
+
 func TestDropMatrixShape(t *testing.T) {
 	m := DropMatrix()
 	if len(m) != 12 {
@@ -26,7 +29,7 @@ func TestDropMatrixShape(t *testing.T) {
 }
 
 func TestTable1HeadlineShape(t *testing.T) {
-	rows := Table1(quickSeeds)
+	rows := suite.Table1(quickSeeds)
 	if len(rows) != 12 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -60,7 +63,7 @@ func TestTable1HeadlineShape(t *testing.T) {
 }
 
 func TestTable2QualityShape(t *testing.T) {
-	rows := Table2(quickSeeds)
+	rows := suite.Table2(quickSeeds)
 	if len(rows) != 12 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -92,7 +95,7 @@ func TestTable2QualityShape(t *testing.T) {
 }
 
 func TestFigure1Series(t *testing.T) {
-	series := Figure1(1)
+	series := suite.Figure1(1)
 	if len(series) != 2 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -125,7 +128,7 @@ func TestFigure1Series(t *testing.T) {
 }
 
 func TestFigure2MonotoneTrend(t *testing.T) {
-	points := Figure2(quickSeeds)
+	points := suite.Figure2(quickSeeds)
 	if len(points) != 8 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -152,7 +155,7 @@ func TestFigure2MonotoneTrend(t *testing.T) {
 }
 
 func TestFigure3Ordering(t *testing.T) {
-	series := Figure3(quickSeeds)
+	series := suite.Figure3(quickSeeds)
 	if len(series) != 4 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -180,7 +183,7 @@ func TestFigure3Ordering(t *testing.T) {
 }
 
 func TestTable3AblationShape(t *testing.T) {
-	rows := Table3(quickSeeds)
+	rows := suite.Table3(quickSeeds)
 	if len(rows) != 14 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -214,7 +217,7 @@ func TestTable3AblationShape(t *testing.T) {
 }
 
 func TestFigure4TraceDriven(t *testing.T) {
-	rows := Figure4([]int64{1})
+	rows := suite.Figure4([]int64{1})
 	if len(rows) != 24 { // 2 traces x 4 contents x 3 controllers
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -242,7 +245,7 @@ func TestFigure4TraceDriven(t *testing.T) {
 }
 
 func TestFigure5LossRobustness(t *testing.T) {
-	rows := Figure5([]int64{1})
+	rows := suite.Figure5([]int64{1})
 	if len(rows) != 28 { // 7 conditions x 4 modes
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -291,7 +294,7 @@ func TestFigure5LossRobustness(t *testing.T) {
 }
 
 func TestFigure6ResolutionCrossover(t *testing.T) {
-	rows := Figure6([]int64{1})
+	rows := suite.Figure6([]int64{1})
 	if len(rows) != 8 { // 4 rates x 2 variants
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -331,7 +334,7 @@ func TestFigure6ResolutionCrossover(t *testing.T) {
 }
 
 func TestFigure7Fairness(t *testing.T) {
-	rows := Figure7([]int64{1})
+	rows := suite.Figure7([]int64{1})
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -358,7 +361,7 @@ func TestFigure7Fairness(t *testing.T) {
 }
 
 func TestFigure8EstimatorOrdering(t *testing.T) {
-	rows := Figure8([]int64{1})
+	rows := suite.Figure8([]int64{1})
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -391,7 +394,7 @@ func TestFigure8EstimatorOrdering(t *testing.T) {
 }
 
 func TestFigure9SFULayerSelection(t *testing.T) {
-	rows := Figure9([]int64{1})
+	rows := suite.Figure9([]int64{1})
 	if len(rows) != 4 { // 2 receivers x 2 modes
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -425,7 +428,7 @@ func TestFigure9SFULayerSelection(t *testing.T) {
 }
 
 func TestFigure10RecoveryReclaim(t *testing.T) {
-	rows := Figure10([]int64{1})
+	rows := suite.Figure10([]int64{1})
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -459,24 +462,30 @@ func TestCSVExportAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	for _, id := range ExperimentIDs() {
-		out, err := CSV(id, []int64{1})
+	small, err := FrontierGrid("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Seeds: []int64{1}, Seed: 1, Grid: small, Duration: 10 * time.Second}
+	for _, e := range Registry() {
+		out, err := e.Run(suite, opts)
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-		if len(lines) < 2 {
-			t.Errorf("%s: only %d lines", id, len(lines))
+		if len(out.CSV) < 2 {
+			t.Errorf("%s: only %d rows", e.ID, len(out.CSV))
 			continue
 		}
-		cols := strings.Count(lines[0], ",") + 1
-		for i, line := range lines {
-			if got := strings.Count(line, ",") + 1; got != cols {
-				t.Errorf("%s line %d: %d columns, header has %d", id, i, got, cols)
+		for i, row := range out.CSV {
+			if len(row) != len(out.CSV[0]) {
+				t.Errorf("%s row %d: %d columns, header has %d", e.ID, i, len(row), len(out.CSV[0]))
 			}
 		}
+		if out.Text == "" {
+			t.Errorf("%s: empty text render", e.ID)
+		}
 	}
-	if _, err := CSV("bogus", nil); err == nil {
+	if _, err := Select("bogus"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

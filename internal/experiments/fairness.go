@@ -34,61 +34,39 @@ type Figure7Row struct {
 	SSIMA float64
 }
 
-// Figure7 runs the fairness pairings on the default parallel runner.
-func Figure7(seeds []int64) []Figure7Row { return (&Runner{}).Figure7(seeds) }
-
 // Figure7 runs the pairings {adaptive+adaptive, adaptive+native,
-// native+native} on a shared 3 Mbps link. Cells are (pairing, seed); one
-// cell is one two-flow shared-link run.
+// native+native} on a shared 3 Mbps link. Rows are pairings; one cell is
+// one two-flow shared-link run.
 func (r *Runner) Figure7(seeds []int64) []Figure7Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
 	type pairing struct {
 		name string
 		mkA  func() core.Controller
 		mkB  func() core.Controller
 	}
+	adaptive := func() core.Controller { return core.NewAdaptive(core.AdaptiveConfig{}) }
+	native := func() core.Controller { return core.NewNativeRC() }
 	pairings := []pairing{
-		{"adaptive+adaptive",
-			func() core.Controller { return core.NewAdaptive(core.AdaptiveConfig{}) },
-			func() core.Controller { return core.NewAdaptive(core.AdaptiveConfig{}) }},
-		{"adaptive+native",
-			func() core.Controller { return core.NewAdaptive(core.AdaptiveConfig{}) },
-			func() core.Controller { return core.NewNativeRC() }},
-		{"native+native",
-			func() core.Controller { return core.NewNativeRC() },
-			func() core.Controller { return core.NewNativeRC() }},
+		{"adaptive+adaptive", adaptive, adaptive},
+		{"adaptive+native", adaptive, native},
+		{"native+native", native, native},
 	}
 	joinAt := 10 * time.Second
-	type cell struct {
-		pairing pairing
-		seed    int64
-	}
-	cells := make([]cell, 0, len(pairings)*len(seeds))
-	for _, p := range pairings {
-		for _, seed := range seeds {
-			cells = append(cells, cell{pairing: p, seed: seed})
-		}
-	}
 	type sample struct{ rateA, rateB, jain, p95, ssim float64 }
-	samples := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("figure7 %s seed=%d", c.pairing.name, c.seed)
-	}, func(i int) sample {
-		c := cells[i]
+	samples := seedGrid(r, pairings, seeds, func(p pairing) string {
+		return "figure7 " + p.name
+	}, func(p pairing, seed int64) sample {
 		results := session.RunShared(
-			session.SharedConfig{Trace: trace.Constant(3e6), Seed: c.seed + 500},
+			session.SharedConfig{Trace: trace.Constant(3e6), Seed: seed + 500},
 			[]session.Config{
 				{
-					Duration: 30 * time.Second, Seed: c.seed,
+					Duration: 30 * time.Second, Seed: seed,
 					Content: video.TalkingHead, InitialRate: 1e6,
-					Controller: c.pairing.mkA(),
+					Controller: p.mkA(),
 				},
 				{
-					Duration: 20 * time.Second, StartAt: joinAt, Seed: c.seed + 50,
+					Duration: 20 * time.Second, StartAt: joinAt, Seed: seed + 50,
 					Content: video.TalkingHead, InitialRate: 1e6,
-					Controller: c.pairing.mkB(),
+					Controller: p.mkB(),
 				},
 			},
 		)
@@ -105,19 +83,16 @@ func (r *Runner) Figure7(seeds []int64) []Figure7Row {
 	})
 
 	var rows []Figure7Row
-	i := 0
-	for _, p := range pairings {
+	for i, p := range pairings {
 		var rateA, rateB, jain, p95, ssim float64
-		for range seeds {
-			s := samples[i]
-			i++
+		for _, s := range samples[i] {
 			rateA += s.rateA
 			rateB += s.rateB
 			jain += s.jain
 			p95 += s.p95
 			ssim += s.ssim
 		}
-		n := float64(len(seeds))
+		n := float64(len(samples[i]))
 		rows = append(rows, Figure7Row{
 			Pairing: p.name,
 			RateA:   rateA / n,

@@ -7,7 +7,6 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
-	"rtcadapt/internal/netem"
 	"rtcadapt/internal/plot"
 	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
@@ -22,32 +21,6 @@ import (
 // related-work comparison — is that deep-and-long drops favor the
 // adaptive scheme strongly while shallow-and-short drops are where the
 // margin should vanish.
-
-// buildPathConfig assembles a session config for a compiled scenario
-// path. A burst-loss rate lowers to a Gilbert-Elliott process with the
-// suite's standard mean burst length of 8 packets.
-func buildPathConfig(p scenario.Path, content video.Class, kind ControllerKind,
-	seed int64, dur time.Duration) session.Config {
-	cfg := session.Config{
-		Duration:        dur,
-		Seed:            seed,
-		Content:         content,
-		Trace:           p.Trace,
-		PropDelay:       p.PropDelay,
-		LossProb:        p.Loss,
-		QueueLimitBytes: p.Queue,
-		NACK:            p.NACK,
-		InitialRate:     1e6,
-	}
-	if p.BurstLoss > 0 {
-		cfg.BurstLoss = netem.NewGilbertElliott(8, p.BurstLoss)
-	}
-	attachController(&cfg, kind, core.AdaptiveConfig{})
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("experiments: bad scenario config: %v", err))
-	}
-	return cfg
-}
 
 // FrontierCell is one grid cell's comparison, averaged over the seeds.
 // The analysis window is [DropAt, drop end + PostDropWindow): the whole
@@ -71,62 +44,27 @@ type FrontierResult struct {
 	Losses     []float64
 }
 
-// Frontier runs the sweep on the default parallel runner.
-func Frontier(g scenario.Grid, seeds []int64) (FrontierResult, error) {
-	return (&Runner{}).Frontier(g, seeds)
-}
-
 // Frontier sweeps the grid with the native baseline and the adaptive
-// controller. Cells are (grid point, controller, seed); results merge in
+// controller. Rows are (grid point, controller); results merge in
 // canonical cell order, so output is byte-identical at any worker count.
 func (r *Runner) Frontier(g scenario.Grid, seeds []int64) (FrontierResult, error) {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
 	points, err := g.Points()
 	if err != nil {
 		return FrontierResult{}, err
 	}
-	kinds := []ControllerKind{KindNative, KindAdaptive}
-	type cell struct {
-		point scenario.Point
-		kind  ControllerKind
-		seed  int64
-	}
-	cells := make([]cell, 0, len(points)*len(seeds)*len(kinds))
-	for _, pt := range points {
-		for _, seed := range seeds {
-			for _, kind := range kinds {
-				cells = append(cells, cell{point: pt, kind: kind, seed: seed})
-			}
-		}
-	}
-	p95s := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("frontier %s %s seed=%d", c.point.Scenario.Name, c.kind, c.seed)
-	}, func(i int) float64 {
-		c := cells[i]
-		path, err := c.point.Scenario.Compile(scenario.CompileConfig{Seed: c.seed})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: frontier cell %q: %v", c.point.Scenario.Name, err))
-		}
-		res := session.Run(buildPathConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration))
-		dropAt := c.point.Scenario.Phases[0].Duration
-		windowEnd := dropAt + c.point.DropDur + PostDropWindow
+	out := FrontierResult{Seeds: orDefault(seeds)}
+	rows := cross(points, headToHead())
+	p95s := seedGrid(r, rows, out.Seeds, func(c pair[scenario.Point, ControllerKind]) string {
+		return fmt.Sprintf("frontier %s %s", c.a.Scenario.Name, c.b)
+	}, func(c pair[scenario.Point, ControllerKind], seed int64) float64 {
+		path := compile(c.a.Scenario, seed, 0)
+		res := session.Run(buildConfig(path, video.TalkingHead, c.b, seed, core.AdaptiveConfig{}))
+		dropAt := c.a.Scenario.Phases[0].Duration
+		windowEnd := dropAt + c.a.DropDur + PostDropWindow
 		return metrics.Summarize(res.Records, dropAt, windowEnd, res.FrameInterval).P95NetDelay.Seconds()
 	})
-
-	out := FrontierResult{Seeds: seeds}
-	i := 0
-	for _, pt := range points {
-		var base, adpt float64
-		for range seeds {
-			base += p95s[i]
-			adpt += p95s[i+1]
-			i += 2
-		}
-		base /= float64(len(seeds))
-		adpt /= float64(len(seeds))
+	for i, pt := range points {
+		base, adpt := mean(p95s[2*i]), mean(p95s[2*i+1])
 		win := 0.0
 		if base > 0 {
 			win = (base - adpt) / base * 100
@@ -143,6 +81,16 @@ func (r *Runner) Frontier(g scenario.Grid, seeds []int64) (FrontierResult, error
 		out.Losses = appendUniqueFloat(out.Losses, pt.Loss)
 	}
 	return out, nil
+}
+
+// compile resolves one cell's scenario and panics on failure: sweeps
+// run only validated or generated scenarios, so a failure is a bug.
+func compile(sc scenario.Scenario, seed int64, dur time.Duration) scenario.Path {
+	path, err := sc.Compile(scenario.CompileConfig{Seed: seed, Duration: dur})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: scenario %q: %v", sc.Name, err))
+	}
+	return path
 }
 
 // appendUniqueFloat appends v if absent, preserving encounter order.
@@ -249,67 +197,43 @@ type ScenarioRow struct {
 // ScenarioTable runs each scenario under the given controllers for one
 // session per seed, summarizing the whole session. Model scenarios
 // generate dur of capacity; phased scenarios use their natural duration.
+// Rows are (scenario, controller).
 func (r *Runner) ScenarioTable(scenarios []scenario.Scenario, kinds []ControllerKind,
 	seeds []int64, dur time.Duration) ([]ScenarioRow, error) {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
 	for _, sc := range scenarios {
 		if err := sc.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	type cell struct {
-		sc   scenario.Scenario
-		kind ControllerKind
-		seed int64
-	}
-	var cells []cell
-	for _, sc := range scenarios {
-		for _, kind := range kinds {
-			for _, seed := range seeds {
-				cells = append(cells, cell{sc: sc, kind: kind, seed: seed})
-			}
-		}
-	}
-	reports := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("scenario %s %s seed=%d", c.sc.Name, c.kind, c.seed)
-	}, func(i int) metrics.Report {
-		c := cells[i]
-		path, err := c.sc.Compile(scenario.CompileConfig{Seed: c.seed, Duration: dur})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: scenario %q: %v", c.sc.Name, err))
-		}
-		res := session.Run(buildPathConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration))
+	rows := cross(scenarios, kinds)
+	reports := seedGrid(r, rows, seeds, func(c pair[scenario.Scenario, ControllerKind]) string {
+		return fmt.Sprintf("scenario %s %s", c.a.Name, c.b)
+	}, func(c pair[scenario.Scenario, ControllerKind], seed int64) metrics.Report {
+		path := compile(c.a, seed, dur)
+		res := session.Run(buildConfig(path, video.TalkingHead, c.b, seed, core.AdaptiveConfig{}))
 		return metrics.SummarizeAll(res.Records, res.FrameInterval)
 	})
 
-	var rows []ScenarioRow
-	i := 0
-	for _, sc := range scenarios {
-		for _, kind := range kinds {
-			var p95, ssim, delivered float64
-			for range seeds {
-				rep := reports[i]
-				i++
-				p95 += rep.P95NetDelay.Seconds()
-				ssim += rep.MeanSSIM
-				if rep.Frames > 0 {
-					delivered += float64(rep.DeliveredFrames) / float64(rep.Frames)
-				}
+	var out []ScenarioRow
+	for i, c := range rows {
+		var p95, ssim, delivered float64
+		for _, rep := range reports[i] {
+			p95 += rep.P95NetDelay.Seconds()
+			ssim += rep.MeanSSIM
+			if rep.Frames > 0 {
+				delivered += float64(rep.DeliveredFrames) / float64(rep.Frames)
 			}
-			n := float64(len(seeds))
-			rows = append(rows, ScenarioRow{
-				Scenario:      sc.Name,
-				Kind:          kind,
-				P95:           time.Duration(p95 / n * float64(time.Second)),
-				MeanSSIM:      ssim / n,
-				DeliveredFrac: delivered / n,
-			})
 		}
+		n := float64(len(reports[i]))
+		out = append(out, ScenarioRow{
+			Scenario:      c.a.Name,
+			Kind:          c.b,
+			P95:           time.Duration(p95 / n * float64(time.Second)),
+			MeanSSIM:      ssim / n,
+			DeliveredFrac: delivered / n,
+		})
 	}
-	return rows, nil
+	return out, nil
 }
 
 // RenderScenarioTable renders the preset mini-sweep.

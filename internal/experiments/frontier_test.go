@@ -10,19 +10,17 @@ import (
 
 // smallGrid is a 2×2 magnitude×duration grid at one (loss, rtt) — small
 // enough for unit tests, large enough to exercise panel layout.
-func smallGrid() scenario.Grid {
-	return scenario.Grid{
-		DropAt:     3 * time.Second,
-		Tail:       2 * time.Second,
-		Magnitudes: []float64{0.5, 0.8},
-		Durations:  []time.Duration{time.Second, 3 * time.Second},
-		RTTs:       []time.Duration{50 * time.Millisecond},
-		Losses:     []float64{0},
+func smallGrid(t *testing.T) scenario.Grid {
+	t.Helper()
+	g, err := FrontierGrid("small")
+	if err != nil {
+		t.Fatal(err)
 	}
+	return g
 }
 
 func TestFrontierShape(t *testing.T) {
-	res, err := (&Runner{Workers: 4}).Frontier(smallGrid(), []int64{1})
+	res, err := (&Runner{Workers: 4}).Frontier(smallGrid(t), []int64{1})
 	if err != nil {
 		t.Fatalf("Frontier: %v", err)
 	}
@@ -45,7 +43,7 @@ func TestFrontierShape(t *testing.T) {
 // rendered frontier is byte-identical across worker counts and repeated
 // same-seed runs.
 func TestFrontierParallelDeterminism(t *testing.T) {
-	g := smallGrid()
+	g := smallGrid(t)
 	seeds := []int64{1}
 	seq, err := (&Runner{Workers: 1}).Frontier(g, seeds)
 	if err != nil {
@@ -68,7 +66,7 @@ func TestFrontierParallelDeterminism(t *testing.T) {
 }
 
 func TestRenderFrontier(t *testing.T) {
-	res, err := (&Runner{Workers: 4}).Frontier(smallGrid(), []int64{1})
+	res, err := (&Runner{Workers: 4}).Frontier(smallGrid(t), []int64{1})
 	if err != nil {
 		t.Fatalf("Frontier: %v", err)
 	}
@@ -80,16 +78,26 @@ func TestRenderFrontier(t *testing.T) {
 	}
 }
 
+// TestFrontierCSV runs the registry's frontier entry on the small grid:
+// one CSV row per grid cell, matching the rendered sweep.
 func TestFrontierCSV(t *testing.T) {
-	// The CSV path runs the default 80-cell grid, too slow for a unit
-	// test; check the header contract via an unknown-id error instead,
-	// and the row shape through the small grid directly.
-	res, err := (&Runner{Workers: 4}).Frontier(smallGrid(), []int64{1})
+	exps, err := Select("frontier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exps[0].Run(&Runner{Workers: 4}, Options{Seeds: []int64{1}, Grid: smallGrid(t)})
+	if err != nil {
+		t.Fatalf("frontier: %v", err)
+	}
+	if len(out.CSV) != 1+4 {
+		t.Fatalf("got %d CSV rows, want a header and 4 cells", len(out.CSV))
+	}
+	res, err := (&Runner{Workers: 4}).Frontier(smallGrid(t), []int64{1})
 	if err != nil {
 		t.Fatalf("Frontier: %v", err)
 	}
-	if res.Cells[0].Point.Scenario.Name == "" {
-		t.Error("cells lost their scenario names")
+	if out.Text != RenderFrontier(res) {
+		t.Error("frontier entry's text differs from RenderFrontier on the same grid")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/netem"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/video"
@@ -73,63 +74,27 @@ type Figure5Row struct {
 	FECRecovered  int
 }
 
-// Figure5 runs the loss-robustness sweep on the default parallel runner.
-func Figure5(seeds []int64) []Figure5Row { return (&Runner{}).Figure5(seeds) }
-
 // Figure5 runs a 30 s session at constant 2 Mbps per condition under each
 // recovery mode, averaging over seeds. FEC uses one repair per 4 media
-// packets (25% overhead). Cells are (condition, mode, seed).
+// packets (25% overhead). Rows are (condition, mode).
 func (r *Runner) Figure5(seeds []int64) []Figure5Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
-	conds := Figure5Conditions()
-	modes := RecoveryModes()
-	type cell struct {
-		cond LossCondition
-		mode RecoveryMode
-		seed int64
-	}
-	cells := make([]cell, 0, len(conds)*len(modes)*len(seeds))
-	for _, cond := range conds {
-		for _, mode := range modes {
-			for _, seed := range seeds {
-				cells = append(cells, cell{cond: cond, mode: mode, seed: seed})
-			}
-		}
-	}
+	rows := cross(Figure5Conditions(), RecoveryModes())
 	type sample struct {
 		frac, p95, ssim float64
 		pli, rtx, fec   int
 	}
-	samples := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("figure5 %s/%s seed=%d", c.cond.Name, c.mode, c.seed)
-	}, func(i int) sample {
-		c := cells[i]
-		cfg := session.Config{
-			Duration:    30 * time.Second,
-			Seed:        c.seed,
-			Content:     video.TalkingHead,
-			Trace:       trace.Constant(2e6),
-			InitialRate: 1e6,
-			LossProb:    c.cond.Random,
-			Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
-		}
-		switch c.mode {
-		case ModeNACK:
-			cfg.NACK = true
-		case ModeFEC:
-			cfg.FECGroupSize = 4
-		case ModeFECNACK:
-			cfg.NACK = true
+	samples := seedGrid(r, rows, seeds, func(c pair[LossCondition, RecoveryMode]) string {
+		return fmt.Sprintf("figure5 %s/%s", c.a.Name, c.b)
+	}, func(c pair[LossCondition, RecoveryMode], seed int64) sample {
+		cond, mode := c.a, c.b
+		p := scenario.Path{Trace: trace.Constant(2e6), Duration: 30 * time.Second, Loss: cond.Random}
+		cfg := buildConfig(p, video.TalkingHead, KindAdaptive, seed, core.AdaptiveConfig{})
+		cfg.NACK = mode == ModeNACK || mode == ModeFECNACK
+		if mode == ModeFEC || mode == ModeFECNACK {
 			cfg.FECGroupSize = 4
 		}
-		if c.cond.BurstRate > 0 {
-			cfg.BurstLoss = netem.NewGilbertElliott(c.cond.BurstLen, c.cond.BurstRate)
-		}
-		if err := cfg.Validate(); err != nil {
-			panic(fmt.Sprintf("experiments: bad figure5 config: %v", err))
+		if cond.BurstRate > 0 {
+			cfg.BurstLoss = netem.NewGilbertElliott(cond.BurstLen, cond.BurstRate)
 		}
 		res := session.Run(cfg)
 		return sample{
@@ -142,36 +107,31 @@ func (r *Runner) Figure5(seeds []int64) []Figure5Row {
 		}
 	})
 
-	var rows []Figure5Row
-	i := 0
-	for _, cond := range conds {
-		for _, mode := range modes {
-			var frac, p95, ssim float64
-			var pli, rtx, fecRec int
-			for range seeds {
-				s := samples[i]
-				i++
-				frac += s.frac
-				p95 += s.p95
-				ssim += s.ssim
-				pli += s.pli
-				rtx += s.rtx
-				fecRec += s.fec
-			}
-			n := float64(len(seeds))
-			rows = append(rows, Figure5Row{
-				Condition:     cond,
-				Mode:          mode,
-				DeliveredFrac: frac / n,
-				P95:           time.Duration(p95 / n * float64(time.Second)),
-				MeanSSIM:      ssim / n,
-				PLI:           pli / len(seeds),
-				Retransmitted: rtx / len(seeds),
-				FECRecovered:  fecRec / len(seeds),
-			})
+	var out []Figure5Row
+	for i, c := range rows {
+		var frac, p95, ssim float64
+		var pli, rtx, fecRec int
+		for _, s := range samples[i] {
+			frac += s.frac
+			p95 += s.p95
+			ssim += s.ssim
+			pli += s.pli
+			rtx += s.rtx
+			fecRec += s.fec
 		}
+		n := len(samples[i])
+		out = append(out, Figure5Row{
+			Condition:     c.a,
+			Mode:          c.b,
+			DeliveredFrac: frac / float64(n),
+			P95:           time.Duration(p95 / float64(n) * float64(time.Second)),
+			MeanSSIM:      ssim / float64(n),
+			PLI:           pli / n,
+			Retransmitted: rtx / n,
+			FECRecovered:  fecRec / n,
+		})
 	}
-	return rows
+	return out
 }
 
 // RenderFigure5 renders the loss-robustness table.

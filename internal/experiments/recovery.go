@@ -6,6 +6,7 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
@@ -31,55 +32,19 @@ type Figure10Row struct {
 	PostRestoreSSIM float64
 }
 
-// Figure10 runs the recovery comparison on the default parallel runner.
-func Figure10(seeds []int64) []Figure10Row { return (&Runner{}).Figure10(seeds) }
-
 // Figure10 runs the drop-and-recover trace under native/adaptive with and
-// without probing. Cells are (controller, probing, seed).
+// without probing. Rows are (controller, probing).
 func (r *Runner) Figure10(seeds []int64) []Figure10Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
 	dropAt, restoreAt := 10*time.Second, 20*time.Second
 	dur := 45 * time.Second
-	kinds := []ControllerKind{KindNative, KindAdaptive}
-	probings := []bool{false, true}
-	type cell struct {
-		kind    ControllerKind
-		probing bool
-		seed    int64
-	}
-	cells := make([]cell, 0, len(kinds)*len(probings)*len(seeds))
-	for _, kind := range kinds {
-		for _, probing := range probings {
-			for _, seed := range seeds {
-				cells = append(cells, cell{kind: kind, probing: probing, seed: seed})
-			}
-		}
-	}
+	rows := cross(headToHead(), []bool{false, true})
 	type sample struct{ reclaim, ssim float64 }
-	samples := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("figure10 %s probing=%t seed=%d", c.kind, c.probing, c.seed)
-	}, func(i int) sample {
-		c := cells[i]
-		cfg := session.Config{
-			Duration:    dur,
-			Seed:        c.seed,
-			Content:     video.TalkingHead,
-			Trace:       trace.StepDropRecover(2.5e6, 0.8e6, dropAt, restoreAt),
-			InitialRate: 1e6,
-			Probing:     c.probing,
-		}
-		switch c.kind {
-		case KindNative:
-			cfg.Controller = core.NewNativeRC()
-		default:
-			cfg.Controller = core.NewAdaptive(core.AdaptiveConfig{})
-		}
-		if err := cfg.Validate(); err != nil {
-			panic(fmt.Sprintf("experiments: bad figure10 config: %v", err))
-		}
+	samples := seedGrid(r, rows, seeds, func(c pair[ControllerKind, bool]) string {
+		return fmt.Sprintf("figure10 %s probing=%t", c.a, c.b)
+	}, func(c pair[ControllerKind, bool], seed int64) sample {
+		path := scenario.Path{Trace: trace.StepDropRecover(2.5e6, 0.8e6, dropAt, restoreAt), Duration: dur}
+		cfg := buildConfig(path, video.TalkingHead, c.a, seed, core.AdaptiveConfig{})
+		cfg.Probing = c.b
 		res := session.Run(cfg)
 		const reclaimedAt units.BitsPerSec = 1.8e6
 		rt := dur - restoreAt // cap: never reclaimed
@@ -93,37 +58,29 @@ func (r *Runner) Figure10(seeds []int64) []Figure10Row {
 		return sample{reclaim: rt.Seconds(), ssim: post.MeanSSIM}
 	})
 
-	var rows []Figure10Row
-	i := 0
-	for _, kind := range kinds {
-		for _, probing := range probings {
-			var reclaim, ssim float64
-			for range seeds {
-				reclaim += samples[i].reclaim
-				ssim += samples[i].ssim
-				i++
-			}
-			n := float64(len(seeds))
-			rows = append(rows, Figure10Row{
-				Controller:      string(kind),
-				Probing:         probing,
-				ReclaimTime:     time.Duration(reclaim / n * float64(time.Second)),
-				PostRestoreSSIM: ssim / n,
-			})
+	var out []Figure10Row
+	for i, c := range rows {
+		var reclaim, ssim float64
+		for _, s := range samples[i] {
+			reclaim += s.reclaim
+			ssim += s.ssim
 		}
+		n := float64(len(samples[i]))
+		out = append(out, Figure10Row{
+			Controller:      string(c.a),
+			Probing:         c.b,
+			ReclaimTime:     time.Duration(reclaim / n * float64(time.Second)),
+			PostRestoreSSIM: ssim / n,
+		})
 	}
-	return rows
+	return out
 }
 
 // RenderFigure10 renders the recovery comparison.
 func RenderFigure10(rows []Figure10Row) string {
 	tb := metrics.NewTable("controller", "probing", "reclaim to 1.8 Mbps", "post-restore SSIM")
 	for _, r := range rows {
-		mode := "off"
-		if r.Probing {
-			mode = "on"
-		}
-		tb.AddRow(r.Controller, mode,
+		tb.AddRow(r.Controller, onOff(r.Probing),
 			fmt.Sprintf("%.1f s", r.ReclaimTime.Seconds()),
 			fmt.Sprintf("%.4f", r.PostRestoreSSIM))
 	}

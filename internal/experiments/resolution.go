@@ -7,7 +7,6 @@ import (
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
 	"rtcadapt/internal/video"
 )
@@ -37,60 +36,31 @@ type Figure6Row struct {
 	MeanQP float64
 }
 
-// Figure6 sweeps the resolution ladder on the default parallel runner.
-func Figure6(seeds []int64) []Figure6Row { return (&Runner{}).Figure6(seeds) }
-
 // Figure6 sweeps post-drop capacity at a fixed 2.5 Mbps start, comparing
-// the adaptive controller with and without the resolution ladder. Cells
-// are (post-drop rate, ladder, seed).
+// the adaptive controller with and without the resolution ladder. Rows
+// are (post-drop rate, ladder).
 func (r *Runner) Figure6(seeds []int64) []Figure6Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
-	dropAt := 10 * time.Second
-	afters := []float64{1.0e6, 0.6e6, 0.4e6, 0.25e6}
-	ladders := []bool{false, true}
-	type cell struct {
-		after  float64
-		useRes bool
-		seed   int64
-	}
-	cells := make([]cell, 0, len(afters)*len(ladders)*len(seeds))
-	for _, after := range afters {
-		for _, useRes := range ladders {
-			for _, seed := range seeds {
-				cells = append(cells, cell{after: after, useRes: useRes, seed: seed})
-			}
-		}
-	}
+	rows := cross([]float64{1.0e6, 0.6e6, 0.4e6, 0.25e6}, []bool{false, true})
 	type sample struct {
 		ssim, p95, qp float64
 		switches      int
 	}
-	samples := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("figure6 after=%.2fMbps ladder=%t seed=%d", c.after/1e6, c.useRes, c.seed)
-	}, func(i int) sample {
-		c := cells[i]
-		ctrl := core.NewAdaptive(core.AdaptiveConfig{EnableResolution: c.useRes})
-		res := session.Run(session.Config{
-			Duration:    dropAt + 20*time.Second,
-			Seed:        c.seed,
-			Content:     video.Gaming,
-			Trace:       trace.StepDrop(2.5e6, units.BitsPerSec(c.after), dropAt),
-			InitialRate: 1e6,
-			Controller:  ctrl,
-		})
-		post := metrics.Summarize(res.Records, dropAt, dropAt+10*time.Second, res.FrameInterval)
+	samples := seedGrid(r, rows, seeds, func(c pair[float64, bool]) string {
+		return fmt.Sprintf("figure6 after=%.2fMbps ladder=%t", c.a/1e6, c.b)
+	}, func(c pair[float64, bool], seed int64) sample {
+		sc := DropScenario{Before: 2.5e6, After: units.BitsPerSec(c.a), DropAt: 10 * time.Second, Content: video.Gaming}
+		cfg := buildConfig(sc.path(), sc.Content, KindAdaptive, seed, core.AdaptiveConfig{EnableResolution: c.b})
+		res := session.Run(cfg)
+		post := metrics.Summarize(res.Records, sc.DropAt, sc.DropAt+10*time.Second, res.FrameInterval)
 		out := sample{
 			ssim:     post.MeanSSIM,
 			p95:      post.P95NetDelay.Seconds(),
-			switches: ctrl.ResolutionSwitches(),
+			switches: cfg.Controller.(*core.Adaptive).ResolutionSwitches(),
 		}
 		var qpSum float64
 		var qpN int
 		for _, rec := range res.Records {
-			if rec.CaptureTS >= dropAt && rec.Outcome == metrics.Delivered && rec.QP > 0 {
+			if rec.CaptureTS >= sc.DropAt && rec.Outcome == metrics.Delivered && rec.QP > 0 {
 				qpSum += float64(rec.QP)
 				qpN++
 			}
@@ -101,43 +71,34 @@ func (r *Runner) Figure6(seeds []int64) []Figure6Row {
 		return out
 	})
 
-	var rows []Figure6Row
-	i := 0
-	for _, after := range afters {
-		for _, useRes := range ladders {
-			var ssim, p95, qp float64
-			var switches int
-			for range seeds {
-				s := samples[i]
-				i++
-				ssim += s.ssim
-				p95 += s.p95
-				qp += s.qp
-				switches += s.switches
-			}
-			n := float64(len(seeds))
-			rows = append(rows, Figure6Row{
-				After:      after,
-				Resolution: useRes,
-				PostSSIM:   ssim / n,
-				PostP95:    time.Duration(p95 / n * float64(time.Second)),
-				Switches:   switches / len(seeds),
-				MeanQP:     qp / n,
-			})
+	var out []Figure6Row
+	for i, c := range rows {
+		var ssim, p95, qp float64
+		var switches int
+		for _, s := range samples[i] {
+			ssim += s.ssim
+			p95 += s.p95
+			qp += s.qp
+			switches += s.switches
 		}
+		n := len(samples[i])
+		out = append(out, Figure6Row{
+			After:      c.a,
+			Resolution: c.b,
+			PostSSIM:   ssim / float64(n),
+			PostP95:    time.Duration(p95 / float64(n) * float64(time.Second)),
+			Switches:   switches / n,
+			MeanQP:     qp / float64(n),
+		})
 	}
-	return rows
+	return out
 }
 
 // RenderFigure6 renders the resolution-extension comparison.
 func RenderFigure6(rows []Figure6Row) string {
 	tb := metrics.NewTable("post-drop rate", "ladder", "post SSIM", "post P95 (ms)", "mean QP", "switches")
 	for _, r := range rows {
-		mode := "off"
-		if r.Resolution {
-			mode = "on"
-		}
-		tb.AddRow(fmt.Sprintf("%.2f Mbps", r.After/1e6), mode,
+		tb.AddRow(fmt.Sprintf("%.2f Mbps", r.After/1e6), onOff(r.Resolution),
 			fmt.Sprintf("%.4f", r.PostSSIM), metrics.Ms(r.PostP95),
 			fmt.Sprintf("%.1f", r.MeanQP), fmt.Sprintf("%d", r.Switches))
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -17,16 +18,21 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Errorf("figure3: parallel output diverges from sequential:\n--- parallel ---\n%s\n--- sequential ---\n%s", got, want)
 	}
 
-	wantCSV, err := seq.CSV("table1", quickSeeds)
+	exps, err := Select("table1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCSV, err := par.CSV("table1", quickSeeds)
+	want, err := exps[0].Run(seq, Options{Seeds: quickSeeds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotCSV != wantCSV {
-		t.Errorf("table1 CSV: parallel output diverges from sequential:\n--- parallel ---\n%s\n--- sequential ---\n%s", gotCSV, wantCSV)
+	got, err := exps[0].Run(par, Options{Seeds: quickSeeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Text != want.Text || !reflect.DeepEqual(got.CSV, want.CSV) {
+		t.Errorf("table1: parallel output diverges from sequential:\n--- parallel ---\n%s%v\n--- sequential ---\n%s%v",
+			got.Text, got.CSV, want.Text, want.CSV)
 	}
 }
 
@@ -74,12 +80,13 @@ func TestDefaultSeedsIsACopy(t *testing.T) {
 	}
 }
 
-// TestNilRunnerWrappers checks the package-level wrappers drive a usable
-// default runner.
+// TestNilRunnerWrappers checks that a nil *Runner is a usable default
+// runner (GOMAXPROCS workers, no progress reporting).
 func TestNilRunnerWrappers(t *testing.T) {
-	series := Figure3(quickSeeds)
+	var r *Runner
+	series := r.Figure3(quickSeeds)
 	if len(series) == 0 {
-		t.Fatal("wrapper Figure3 returned no series")
+		t.Fatal("nil-runner Figure3 returned no series")
 	}
 	for _, s := range series {
 		if len(s.DelaysMs) != len(s.Fractions) {

@@ -34,44 +34,26 @@ type Figure9Row struct {
 	MOS            float64
 }
 
-// Figure9 runs the SFU comparison on the default parallel runner.
-func Figure9(seeds []int64) []Figure9Row { return (&Runner{}).Figure9(seeds) }
-
 // figure9Receivers is the fixed receiver order of the Figure 9 rows.
 var figure9Receivers = [...]string{"strong-3.0Mbps", "weak-1.5Mbps"}
 
 // Figure9 runs the two-receiver SFU call with layer selection off and on.
-// Cells are (layer-selection mode, seed); one cell is one full SFU call
+// Rows are layer-selection modes; one cell is one full SFU call
 // reporting both receivers.
 func (r *Runner) Figure9(seeds []int64) []Figure9Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
 	modes := []bool{false, true}
-	type cell struct {
-		layerSel bool
-		seed     int64
-	}
-	cells := make([]cell, 0, len(modes)*len(seeds))
-	for _, layerSel := range modes {
-		for _, seed := range seeds {
-			cells = append(cells, cell{layerSel: layerSel, seed: seed})
-		}
-	}
 	type recvSample struct {
 		p95             time.Duration
 		frac, ssim, mos float64
 	}
-	samples := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("figure9 layer-selection=%t seed=%d", c.layerSel, c.seed)
-	}, func(i int) [len(figure9Receivers)]recvSample {
-		c := cells[i]
+	samples := seedGrid(r, modes, seeds, func(layerSel bool) string {
+		return fmt.Sprintf("figure9 layer-selection=%t", layerSel)
+	}, func(layerSel bool, seed int64) [len(figure9Receivers)]recvSample {
 		sched := simtime.NewScheduler()
-		uplink := netem.NewLink(sched, netem.Config{Trace: trace.Constant(2.5e6), Seed: c.seed})
+		uplink := netem.NewLink(sched, netem.Config{Trace: trace.Constant(2.5e6), Seed: seed})
 		sender := session.New(sched, session.Config{
 			Duration:    30 * time.Second,
-			Seed:        c.seed,
+			Seed:        seed,
 			Content:     video.TalkingHead,
 			ForwardLink: uplink,
 			InitialRate: 1e6,
@@ -79,16 +61,16 @@ func (r *Runner) Figure9(seeds []int64) []Figure9Row {
 			Encoder:     codec.Config{TemporalLayers: 2},
 		})
 		node := sfu.NewNode(sched, sender, 0)
-		node.LayerSelection = c.layerSel
+		node.LayerSelection = layerSel
 		uplink.SetReceiver(node)
 		receivers := []*sfu.Receiver{
 			sfu.NewReceiver(sched, node, sfu.ReceiverConfig{
 				Name:     figure9Receivers[0],
-				Downlink: netem.NewLink(sched, netem.Config{Trace: trace.Constant(3e6), Seed: c.seed + 10}),
+				Downlink: netem.NewLink(sched, netem.Config{Trace: trace.Constant(3e6), Seed: seed + 10}),
 			}),
 			sfu.NewReceiver(sched, node, sfu.ReceiverConfig{
 				Name:     figure9Receivers[1],
-				Downlink: netem.NewLink(sched, netem.Config{Trace: trace.Constant(1.5e6), Seed: c.seed + 20}),
+				Downlink: netem.NewLink(sched, netem.Config{Trace: trace.Constant(1.5e6), Seed: seed + 20}),
 			}),
 		}
 		sched.RunUntil(32 * time.Second)
@@ -107,28 +89,25 @@ func (r *Runner) Figure9(seeds []int64) []Figure9Row {
 	})
 
 	var rows []Figure9Row
-	i := 0
-	for _, layerSel := range modes {
+	for i, layerSel := range modes {
 		acc := [len(figure9Receivers)]Figure9Row{}
-		for range seeds {
+		for _, s := range samples[i] {
 			for ri := range figure9Receivers {
-				s := samples[i][ri]
-				acc[ri].P95 += s.p95
-				acc[ri].DeliveredFrac += s.frac
-				acc[ri].MeanSSIM += s.ssim
-				acc[ri].MOS += s.mos
+				acc[ri].P95 += s[ri].p95
+				acc[ri].DeliveredFrac += s[ri].frac
+				acc[ri].MeanSSIM += s[ri].ssim
+				acc[ri].MOS += s[ri].mos
 			}
-			i++
 		}
-		n := time.Duration(len(seeds))
+		n := len(samples[i])
 		for ri, name := range figure9Receivers {
 			row := acc[ri]
 			row.Receiver = name
 			row.LayerSelection = layerSel
-			row.P95 /= n
-			row.DeliveredFrac /= float64(len(seeds))
-			row.MeanSSIM /= float64(len(seeds))
-			row.MOS /= float64(len(seeds))
+			row.P95 /= time.Duration(n)
+			row.DeliveredFrac /= float64(n)
+			row.MeanSSIM /= float64(n)
+			row.MOS /= float64(n)
 			rows = append(rows, row)
 		}
 	}
@@ -139,11 +118,7 @@ func (r *Runner) Figure9(seeds []int64) []Figure9Row {
 func RenderFigure9(rows []Figure9Row) string {
 	tb := metrics.NewTable("receiver", "layer selection", "P95 (ms)", "delivered", "mean SSIM", "MOS")
 	for _, r := range rows {
-		mode := "off"
-		if r.LayerSelection {
-			mode = "on"
-		}
-		tb.AddRow(r.Receiver, mode, metrics.Ms(r.P95),
+		tb.AddRow(r.Receiver, onOff(r.LayerSelection), metrics.Ms(r.P95),
 			fmt.Sprintf("%.1f%%", r.DeliveredFrac*100),
 			fmt.Sprintf("%.4f", r.MeanSSIM), fmt.Sprintf("%.2f", r.MOS))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
@@ -24,58 +25,25 @@ type Figure2Point struct {
 	ReductionPct float64
 }
 
-// Figure2 sweeps drop severity on the default parallel runner.
-func Figure2(seeds []int64) []Figure2Point { return (&Runner{}).Figure2(seeds) }
-
 // Figure2 sweeps drop severity at a fixed 2.5 Mbps starting capacity.
-// Cells are (severity, controller, seed).
+// Rows are (severity, controller).
 func (r *Runner) Figure2(seeds []int64) []Figure2Point {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
 	severities := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
-	kinds := []ControllerKind{KindNative, KindAdaptive}
-	type cell struct {
-		sc   DropScenario
-		kind ControllerKind
-		seed int64
-	}
-	cells := make([]cell, 0, len(severities)*len(kinds)*len(seeds))
+	var scs []DropScenario
 	for _, sev := range severities {
-		sc := DropScenario{
+		scs = append(scs, DropScenario{
 			Name:    fmt.Sprintf("sev-%.1f", sev),
 			Before:  2.5e6,
 			After:   units.BitsPerSec(2.5e6 * (1 - sev)),
 			DropAt:  10 * time.Second,
 			Content: video.TalkingHead,
-		}
-		for _, kind := range kinds {
-			for _, seed := range seeds {
-				cells = append(cells, cell{sc: sc, kind: kind, seed: seed})
-			}
-		}
+		})
 	}
-	p95s := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("figure2 %s %s seed=%d", c.sc.Name, c.kind, c.seed)
-	}, func(i int) float64 {
-		c := cells[i]
-		return postDrop(c.sc, r.runDrop(c.sc, c.kind, c.seed)).P95NetDelay.Seconds()
-	})
-
+	rows := cross(scs, headToHead())
+	p95s := seedGrid(r, rows, seeds, labelDrop("figure2"), postDropP95)
 	var out []Figure2Point
-	i := 0
-	meanNext := func() float64 {
-		var sum float64
-		for range seeds {
-			sum += p95s[i]
-			i++
-		}
-		return sum / float64(len(seeds))
-	}
-	for _, sev := range severities {
-		base := meanNext()
-		adpt := meanNext()
+	for i, sev := range severities {
+		base, adpt := mean(p95s[2*i]), mean(p95s[2*i+1])
 		out = append(out, Figure2Point{
 			Severity:     sev,
 			BaselineP95:  time.Duration(base * float64(time.Second)),
@@ -84,6 +52,15 @@ func (r *Runner) Figure2(seeds []int64) []Figure2Point {
 		})
 	}
 	return out
+}
+
+// mean sums xs in order and divides by their count.
+func mean(xs []float64) float64 {
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // RenderFigure2 renders the severity sweep.
@@ -109,53 +86,26 @@ type Figure3Series struct {
 	P50, P95 float64
 }
 
-// Figure3 runs the controller CDF comparison on the default parallel
-// runner.
-func Figure3(seeds []int64) []Figure3Series { return (&Runner{}).Figure3(seeds) }
-
 // Figure3 runs the canonical drop under every controller kind, pooling
-// post-drop frame latencies across seeds. Cells are (controller, seed);
-// each series pools its seeds' ledgers in seed order.
+// post-drop frame latencies across seeds. Rows are controllers; each
+// series pools its seeds' ledgers in seed order.
 func (r *Runner) Figure3(seeds []int64) []Figure3Series {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
-	sc := DropScenario{
-		Name: "2.5->0.8", Before: 2.5e6, After: 0.8e6,
-		DropAt: 10 * time.Second, Content: video.TalkingHead,
-	}
+	sc := canonicalDrop()
 	kinds := Kinds()
-	type cell struct {
-		kind ControllerKind
-		seed int64
-	}
-	cells := make([]cell, 0, len(kinds)*len(seeds))
-	for _, kind := range kinds {
-		for _, seed := range seeds {
-			cells = append(cells, cell{kind: kind, seed: seed})
-		}
-	}
-	ledgers := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("figure3 %s seed=%d", c.kind, c.seed)
-	}, func(i int) []metrics.FrameRecord {
-		c := cells[i]
-		return r.runDrop(sc, c.kind, c.seed).Records
+	ledgers := seedGrid(r, kinds, seeds, func(kind ControllerKind) string {
+		return "figure3 " + string(kind)
+	}, func(kind ControllerKind, seed int64) []metrics.FrameRecord {
+		return runDrop(sc, kind, seed).Records
 	})
-
 	var out []Figure3Series
-	i := 0
-	for _, kind := range kinds {
+	for i, kind := range kinds {
 		var pooled []metrics.FrameRecord
-		for range seeds {
-			pooled = append(pooled, ledgers[i]...)
-			i++
+		for _, l := range ledgers[i] {
+			pooled = append(pooled, l...)
 		}
 		ds, fs := metrics.CDF(pooled, sc.DropAt, sc.DropAt+PostDropWindow)
-		s := Figure3Series{Kind: kind, DelaysMs: ds, Fractions: fs}
-		s.P50 = quantileOf(ds, 0.50)
-		s.P95 = quantileOf(ds, 0.95)
-		out = append(out, s)
+		out = append(out, Figure3Series{Kind: kind, DelaysMs: ds, Fractions: fs,
+			P50: quantileOf(ds, 0.50), P95: quantileOf(ds, 0.95)})
 	}
 	return out
 }
@@ -207,15 +157,8 @@ func allDisabled() core.AdaptiveConfig {
 // gaming-content drop: "full -X" removes one mechanism from the full
 // scheme (marginal contribution), "base +X" adds one mechanism to the
 // retarget-only base (standalone contribution). Mechanisms overlap, so the
-// two directions differ.
-func Table3(seeds []int64) []Table3Row { return (&Runner{}).Table3(seeds) }
-
-// Table3 measures the mechanism ablation; see the package-level Table3.
-// Cells are (variant, seed).
+// two directions differ. Rows are variants.
 func (r *Runner) Table3(seeds []int64) []Table3Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
 	sc := DropScenario{
 		Name: "2.5->0.6", Before: 2.5e6, After: 0.6e6,
 		DropAt: 10 * time.Second, Content: video.Gaming,
@@ -225,10 +168,11 @@ func (r *Runner) Table3(seeds []int64) []Table3Row {
 		mut(&cfg)
 		return cfg
 	}
-	variants := []struct {
+	type variant struct {
 		name string
 		cfg  core.AdaptiveConfig
-	}{
+	}
+	variants := []variant{
 		{"full", core.AdaptiveConfig{}},
 		{"full -qp-clamp", core.AdaptiveConfig{DisableQPClamp: true}},
 		{"full -frame-cap", core.AdaptiveConfig{DisableFrameCap: true}},
@@ -244,40 +188,24 @@ func (r *Runner) Table3(seeds []int64) []Table3Row {
 		{"base +kf-suppress", enable(func(c *core.AdaptiveConfig) { c.DisableKFSuppress = false })},
 		{"base +margin", enable(func(c *core.AdaptiveConfig) { c.DisableDropMargin = false })},
 	}
-	type cell struct {
-		variant int
-		seed    int64
-	}
-	cells := make([]cell, 0, len(variants)*len(seeds))
-	for vi := range variants {
-		for _, seed := range seeds {
-			cells = append(cells, cell{variant: vi, seed: seed})
-		}
-	}
 	type sample struct{ p95, ssim float64 }
-	samples := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("table3 %q seed=%d", variants[c.variant].name, c.seed)
-	}, func(i int) sample {
-		c := cells[i]
-		tr := trace.StepDrop(sc.Before, sc.After, sc.DropAt)
-		res := session.Run(buildConfig(tr, sc.Content, KindAdaptive, c.seed,
-			sc.DropAt+20*time.Second, variants[c.variant].cfg))
+	samples := seedGrid(r, variants, seeds, func(v variant) string {
+		return fmt.Sprintf("table3 %q", v.name)
+	}, func(v variant, seed int64) sample {
+		res := session.Run(buildConfig(sc.path(), sc.Content, KindAdaptive, seed, v.cfg))
 		return sample{p95: postDrop(sc, res).P95NetDelay.Seconds(), ssim: res.Report.MeanSSIM}
 	})
 
 	var rows []Table3Row
 	var fullP95 float64
-	i := 0
-	for _, v := range variants {
+	for i, v := range variants {
 		var p95, ssim float64
-		for range seeds {
-			p95 += samples[i].p95
-			ssim += samples[i].ssim
-			i++
+		for _, s := range samples[i] {
+			p95 += s.p95
+			ssim += s.ssim
 		}
-		p95 /= float64(len(seeds))
-		ssim /= float64(len(seeds))
+		p95 /= float64(len(samples[i]))
+		ssim /= float64(len(samples[i]))
 		if v.name == "full" {
 			fullP95 = p95
 		}
@@ -320,18 +248,11 @@ type Figure4Row struct {
 	MOS float64
 }
 
-// Figure4 runs the trace-driven evaluation on the default parallel
-// runner.
-func Figure4(seeds []int64) []Figure4Row { return (&Runner{}).Figure4(seeds) }
-
 // Figure4 runs 60 s sessions on synthetic LTE and WiFi traces across all
-// content classes and controllers. Cells are (trace, content, controller,
-// seed); each cell generates its own private trace so concurrent sessions
-// never share one.
+// content classes and controllers. Rows are (trace, content,
+// controller); each cell generates its own private trace so concurrent
+// sessions never share one.
 func (r *Runner) Figure4(seeds []int64) []Figure4Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
-	}
 	type traceGen struct {
 		name string
 		gen  func(seed int64) *trace.Trace
@@ -345,31 +266,25 @@ func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 		}},
 	}
 	contents := []video.Class{video.TalkingHead, video.ScreenShare, video.Gaming, video.Sports}
-	kinds := []ControllerKind{KindNative, KindResetOnly, KindAdaptive}
-	type cell struct {
+	type row struct {
 		gen     traceGen
 		content video.Class
 		kind    ControllerKind
-		seed    int64
 	}
-	cells := make([]cell, 0, len(gens)*len(contents)*len(kinds)*len(seeds))
+	var rows []row
 	for _, g := range gens {
 		for _, content := range contents {
-			for _, kind := range kinds {
-				for _, seed := range seeds {
-					cells = append(cells, cell{gen: g, content: content, kind: kind, seed: seed})
-				}
+			for _, kind := range []ControllerKind{KindNative, KindResetOnly, KindAdaptive} {
+				rows = append(rows, row{g, content, kind})
 			}
 		}
 	}
 	type sample struct{ p95, ssim, freeze, mos float64 }
-	samples := mapCells(r, len(cells), func(i int) string {
-		c := cells[i]
-		return fmt.Sprintf("figure4 %s/%s %s seed=%d", c.gen.name, c.content, c.kind, c.seed)
-	}, func(i int) sample {
-		c := cells[i]
-		res := session.Run(buildConfig(c.gen.gen(c.seed), c.content, c.kind, c.seed,
-			60*time.Second, core.AdaptiveConfig{}))
+	samples := seedGrid(r, rows, seeds, func(c row) string {
+		return fmt.Sprintf("figure4 %s/%s %s", c.gen.name, c.content, c.kind)
+	}, func(c row, seed int64) sample {
+		p := scenario.Path{Trace: c.gen.gen(seed), Duration: 60 * time.Second}
+		res := session.Run(buildConfig(p, c.content, c.kind, seed, core.AdaptiveConfig{}))
 		return sample{
 			p95:    res.Report.P95NetDelay.Seconds(),
 			ssim:   res.Report.MeanSSIM,
@@ -378,34 +293,28 @@ func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 		}
 	})
 
-	var rows []Figure4Row
-	i := 0
-	for _, g := range gens {
-		for _, content := range contents {
-			for _, kind := range kinds {
-				var p95, ssim, freeze, mos float64
-				for range seeds {
-					p95 += samples[i].p95
-					ssim += samples[i].ssim
-					freeze += samples[i].freeze
-					mos += samples[i].mos
-					i++
-				}
-				n := float64(len(seeds))
-				p95, ssim, freeze, mos = p95/n, ssim/n, freeze/n, mos/n
-				rows = append(rows, Figure4Row{
-					TraceName:  g.name,
-					Content:    content,
-					Kind:       kind,
-					P95:        time.Duration(p95 * float64(time.Second)),
-					MeanSSIM:   ssim,
-					FreezeTime: time.Duration(freeze * float64(time.Second)),
-					MOS:        mos,
-				})
-			}
+	var out []Figure4Row
+	for i, c := range rows {
+		var p95, ssim, freeze, mos float64
+		for _, s := range samples[i] {
+			p95 += s.p95
+			ssim += s.ssim
+			freeze += s.freeze
+			mos += s.mos
 		}
+		n := float64(len(samples[i]))
+		p95, ssim, freeze, mos = p95/n, ssim/n, freeze/n, mos/n
+		out = append(out, Figure4Row{
+			TraceName:  c.gen.name,
+			Content:    c.content,
+			Kind:       c.kind,
+			P95:        time.Duration(p95 * float64(time.Second)),
+			MeanSSIM:   ssim,
+			FreezeTime: time.Duration(freeze * float64(time.Second)),
+			MOS:        mos,
+		})
 	}
-	return rows
+	return out
 }
 
 // RenderFigure4 renders the trace-driven comparison.

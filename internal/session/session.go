@@ -26,6 +26,7 @@ import (
 	"rtcadapt/internal/obs"
 	"rtcadapt/internal/pacer"
 	"rtcadapt/internal/rtp"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/simtime"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
@@ -284,6 +285,26 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("session: Config.Encoder: %w", err)
 	}
 	return nil
+}
+
+// ApplyPath writes a compiled scenario path into the config: the
+// capacity trace and every link impairment the scenario pins. NACK only
+// ever turns on (a caller's NACK stays set), and Duration takes the
+// path's natural span only when the config leaves it zero, so an
+// explicit duration wins. A burst-loss rate lowers to a Gilbert-Elliott
+// process with a mean burst length of 8 packets.
+func (c *Config) ApplyPath(p scenario.Path) {
+	c.Trace = p.Trace
+	c.LossProb = p.Loss
+	c.PropDelay = p.PropDelay
+	c.QueueLimitBytes = p.Queue
+	c.NACK = c.NACK || p.NACK
+	if p.BurstLoss > 0 {
+		c.BurstLoss = netem.NewGilbertElliott(8, p.BurstLoss)
+	}
+	if c.Duration == 0 {
+		c.Duration = p.Duration
+	}
 }
 
 // New wires a session onto sched. When cfg.ForwardLink is nil the session
