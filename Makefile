@@ -1,8 +1,11 @@
 GO       ?= go
 PKGS     := ./...
 FUZZTIME ?= 10s
+BASE     ?= HEAD^
+NEW      ?= HEAD
+SEED     ?= 1
 
-.PHONY: build test race lint lint-fix lint-purity lint-units lint-baseline-check lint-budget fuzz-smoke bench bench-parallel bench-json bench-smoke fleet-smoke trace-smoke scenario-smoke results-smoke profile check
+.PHONY: build test race lint lint-fix lint-purity lint-units lint-baseline-check lint-budget fuzz-smoke bench bench-parallel bench-json bench-smoke bench-ab fleet-smoke trace-smoke scenario-smoke results-smoke profile check
 
 build:
 	$(GO) build $(PKGS)
@@ -60,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBaseline -fuzztime=$(FUZZTIME) ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerOrder -fuzztime=$(FUZZTIME) ./internal/simtime
+	$(GO) test -run='^$$' -fuzz=FuzzLossRecovery -fuzztime=$(FUZZTIME) ./internal/fec
 
 # Record a short session of the paper's figure-1 drop (rtcsim's default
 # "standard" scenario) in all three export formats, then diff a same-seed
@@ -131,12 +135,21 @@ bench-json:
 # exists to catch complexity regressions (an accidental O(n) scan in the
 # heap shows up as 10-100x, far above any machine-to-machine noise).
 bench-smoke:
-	$(GO) test -run='AllocBudget|ZeroAlloc' -v ./internal/simtime ./internal/netem ./internal/rtp
+	$(GO) test -run='AllocBudget|ZeroAlloc' -v ./internal/simtime ./internal/netem ./internal/rtp \
+		./internal/stats ./internal/session
 	$(GO) test -run='^$$' -bench='BenchmarkSchedulerStep|BenchmarkLinkSaturated|BenchmarkPacketizeReuse' \
 		-benchtime=1x -benchmem ./internal/simtime ./internal/netem ./internal/rtp
 	$(GO) test -run='^$$' -bench='BenchmarkSchedulerDepth|BenchmarkSchedulerMixedHorizon|BenchmarkSchedulerCancel' \
 		-benchtime=0.1s -benchmem ./internal/simtime \
 		| $(GO) run ./cmd/benchjson -against auto -max-ns-ratio 2.5
+
+# Interleaved same-host A/B of the repository benchmark: BASE (the parent
+# commit by default) against NEW (HEAD), ten runs a side per workload of
+# BENCHMARK.json at its run_seconds, alternating which side runs first.
+# SEED picks the workload seed, for example
+#   make bench-ab SEED=23 BASE=HEAD~3
+bench-ab:
+	SEED=$(SEED) bash scripts/bench-ab.sh $(BASE) $(NEW)
 
 # Fleet determinism + throughput gate for CI. A small fleet must render
 # byte-identical per-session CSV at 1 shard and 8 shards (the merge-order

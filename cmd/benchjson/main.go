@@ -6,12 +6,20 @@
 //
 //	go test -bench . -benchmem ./... | benchjson -o BENCH.json
 //	benchjson -diff BENCH_old.json BENCH_new.json
+//	benchjson -ab base.jsonl new.jsonl
 //	go test -bench . -benchmem ./... | benchjson -against BENCH.json -max-ns-ratio 1.3
 //	go test -bench . -benchmem ./... | benchjson -against auto -max-ns-ratio 1.3
 //
 // `-against auto` resolves the baseline to the highest-numbered
 // BENCH_<n>.json in the current directory, so compare runs follow the
 // newest committed generation without hard-coding it.
+//
+// `-ab` compares interleaved repository-benchmark runs instead: each file
+// holds the JSON report lines of N `perfbench/run.sh` runs of one
+// workload, and the table gives each metric's median and interquartile
+// range per side, the ratio of medians, how many run pairs read higher on
+// the new side, and a Mann–Whitney U p-value. scripts/bench-ab.sh
+// produces the files.
 package main
 
 import (
@@ -50,6 +58,7 @@ func runCmd(args []string, stdin io.Reader, stdout *cli.Printer, stderrW io.Writ
 		out        = fs.String("o", "", "write canonical JSON to this file (default stdout)")
 		diff       = fs.String("diff", "", "compare this baseline JSON against a second JSON file argument")
 		against    = fs.String("against", "", "compare parsed stdin against this baseline JSON (\"auto\": highest-numbered BENCH_<n>.json here)")
+		ab         = fs.String("ab", "", "compare perfbench report lines in this base file against a second file argument")
 		maxNsRatio = fs.Float64("max-ns-ratio", 0, "with -against/-diff: fail when new/old ns/op exceeds this (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -63,6 +72,23 @@ func runCmd(args []string, stdin io.Reader, stdout *cli.Printer, stderrW io.Writ
 	}
 
 	switch {
+	case *ab != "":
+		if fs.NArg() != 1 {
+			return fail(fmt.Errorf("-ab needs exactly one report file argument"))
+		}
+		base, err := benchjson.ReadReports(*ab)
+		if err != nil {
+			return fail(err)
+		}
+		newReps, err := benchjson.ReadReports(fs.Arg(0))
+		if err != nil {
+			return fail(err)
+		}
+		if len(base) == 0 || len(newReps) == 0 {
+			return fail(fmt.Errorf("-ab: %d base and %d new reports, want at least one each", len(base), len(newReps)))
+		}
+		reportAB(benchjson.CompareAB(base, newReps), stdout)
+		return 0
 	case *diff != "":
 		if fs.NArg() != 1 {
 			return fail(fmt.Errorf("-diff needs exactly one JSON file argument"))
@@ -182,4 +208,14 @@ func report(ds []benchjson.Delta, maxNsRatio float64, stdout *cli.Printer) int {
 		return 1
 	}
 	return 0
+}
+
+// reportAB prints an A/B comparison as a Markdown table.
+func reportAB(rows []benchjson.ABRow, stdout *cli.Printer) {
+	stdout.Printf("| metric | unit | base median (IQR) | new median (IQR) | new/base | new higher | p (Mann–Whitney) |\n")
+	stdout.Printf("|---|---|---|---|---|---|---|\n")
+	for _, r := range rows {
+		stdout.Printf("| %s | %s | %.4g (%.2g) | %.4g (%.2g) | %.3f | %d/%d | %.2g |\n",
+			r.Metric, r.Unit, r.Base.Median, r.Base.IQR, r.New.Median, r.New.IQR, r.Ratio, r.Higher, r.Pairs, r.P)
+	}
 }

@@ -83,3 +83,31 @@ func TestLatestBaseline(t *testing.T) {
 		t.Error("latestBaseline on a dir with no baselines: want error, got nil")
 	}
 }
+
+func TestABTable(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, rates ...string) string {
+		var b strings.Builder
+		for _, r := range rates {
+			b.WriteString("host: test\n")
+			b.WriteString(`{"metrics":{"sessions_per_s":{"value":` + r + `,"unit":"sessions/s"}}}` + "\n")
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.jsonl", "100", "98", "102")
+	next := write("new.jsonl", "130", "128", "133")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-ab", base, next}, strings.NewReader(""), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	if want := "| sessions_per_s | sessions/s | 100 (2) | 130 (2.5) | 1.300 | 3/3 | 0.1 |"; !strings.Contains(stdout.String(), want) {
+		t.Fatalf("table lacks %q:\n%s", want, stdout.String())
+	}
+	if code := run([]string{"-ab", base}, strings.NewReader(""), &stdout, &stderr); code == 0 {
+		t.Fatal("-ab without a second file accepted")
+	}
+}

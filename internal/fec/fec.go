@@ -39,6 +39,12 @@ func (r *Repair) WireSize() int { return r.WireBytes }
 
 // GroupEncoder produces repair packets for outgoing media. Not safe for
 // concurrent use.
+//
+// Each repair and its Protected copies are carved from slabs, as the
+// packetizer carves packets: the open group accumulates in a reused
+// buffer and is copied into the packet slab when it flushes, so a group
+// costs no allocation of its own. Slab memory stays valid as long as a
+// repair refers to it.
 type GroupEncoder struct {
 	// K is the group size: one repair per K media packets. Smaller K
 	// means more overhead and more protection. Default 4.
@@ -47,7 +53,19 @@ type GroupEncoder struct {
 
 	nextID  uint32
 	pending []rtp.Packet
+
+	slab     []rtp.Packet
+	slabUsed int
+	repairs  []Repair
+	repUsed  int
 }
+
+// Slab granularities: 256 protected copies is 64 groups of 4, and one
+// repair slab covers as many groups.
+const (
+	packetSlabSize = 256
+	repairSlabSize = 64
+)
 
 // NewGroupEncoder returns an encoder emitting one repair per k media
 // packets (k <= 0 selects 4) for the given SSRC.
@@ -82,51 +100,77 @@ func (e *GroupEncoder) Flush() *Repair {
 }
 
 func (e *GroupEncoder) flush() *Repair {
+	n := len(e.pending)
 	maxSize := 0
 	for i := range e.pending {
 		if s := e.pending[i].WireSize(); s > maxSize {
 			maxSize = s
 		}
 	}
-	rep := &Repair{
+	if len(e.slab)-e.slabUsed < n {
+		e.slab = make([]rtp.Packet, max(packetSlabSize, n))
+		e.slabUsed = 0
+	}
+	protected := e.slab[e.slabUsed : e.slabUsed+n : e.slabUsed+n]
+	e.slabUsed += n
+	copy(protected, e.pending)
+	if e.repUsed == len(e.repairs) {
+		e.repairs = make([]Repair, repairSlabSize)
+		e.repUsed = 0
+	}
+	rep := &e.repairs[e.repUsed]
+	e.repUsed++
+	*rep = Repair{
 		RepairID:  e.nextID,
 		SSRC:      e.ssrc,
-		Protected: e.pending,
+		Protected: protected,
 		WireBytes: maxSize + RepairHeaderBytes,
 	}
 	e.nextID++
-	e.pending = nil
+	e.pending = e.pending[:0]
 	return rep
 }
 
 // Decoder reconstructs missing media packets from repairs. Not safe for
 // concurrent use.
+//
+// Its state is three fixed-size windows instead of hash maps: the live
+// groups in arrival order (a ring of at most MaxGroups), an rtp.SeqIndex
+// from each protected sequence number to the serials of the groups
+// protecting it, and the recently received sequence numbers as a bitset
+// over the sequence space plus a FIFO ring of the last
+// receivedWindow of them, which bounds the set.
 type Decoder struct {
 	// MaxGroups bounds memory; oldest groups are evicted. Default 64.
 	MaxGroups int
 
-	groups    map[uint32]*group
-	order     []uint32
-	bySeq     map[uint16][]uint32 // media seq -> group ids
-	received  map[uint16]bool     // recently received media seqs
-	seqOrder  []uint16
+	// groups[head:] are the live groups, oldest first; group serial s
+	// sits at groups[head+int(s-headSerial)].
+	groups     []group
+	head       int
+	headSerial uint32
+	bySeq      rtp.SeqIndex // media seq -> group serials, in arrival order
+
+	received  []uint64 // bitset over the 2^16 sequence numbers
+	recvRing  []uint16 // received seqs in arrival order, recvNext oldest once full
+	recvNext  int
 	recovered int
 }
 
 type group struct {
 	id        uint32
+	serial    uint32
 	protected []rtp.Packet
 	done      bool
 }
 
+// receivedWindow bounds the received set to a window comfortably larger
+// than any plausible reordering span.
+const receivedWindow = 4096
+
 // NewDecoder returns an empty FEC decoder.
 func NewDecoder() *Decoder {
-	return &Decoder{
-		MaxGroups: 64,
-		groups:    make(map[uint32]*group),
-		bySeq:     make(map[uint16][]uint32),
-		received:  make(map[uint16]bool),
-	}
+	return &Decoder{MaxGroups: 64}
 }
 
 // Recovered returns the number of packets reconstructed so far.
@@ -138,10 +182,8 @@ func (d *Decoder) Recovered() int { return d.recovered }
 func (d *Decoder) OnMedia(seq uint16) []*rtp.Packet {
 	d.markReceived(seq)
 	var out []*rtp.Packet
-	for _, gid := range d.bySeq[seq] {
-		if g, ok := d.groups[gid]; ok {
-			out = append(out, d.tryRecover(g)...)
-		}
+	for p := d.bySeq.Find(seq); p >= 0; p = d.bySeq.FindNext(seq, p) {
+		out = append(out, d.tryRecover(d.group(d.bySeq.Value(p)))...)
 	}
 	return out
 }
@@ -149,18 +191,38 @@ func (d *Decoder) OnMedia(seq uint16) []*rtp.Packet {
 // OnRepair records an arrived repair packet and returns any packets it
 // recovers immediately.
 func (d *Decoder) OnRepair(rep *Repair) []*rtp.Packet {
-	if _, exists := d.groups[rep.RepairID]; exists {
-		return nil // duplicate
+	for i := d.head; i < len(d.groups); i++ {
+		if d.groups[i].id == rep.RepairID {
+			return nil // duplicate
+		}
 	}
-	g := &group{id: rep.RepairID, protected: rep.Protected}
-	d.groups[rep.RepairID] = g
-	d.order = append(d.order, rep.RepairID)
+	serial := d.headSerial + uint32(len(d.groups)-d.head)
+	d.pushGroup(group{id: rep.RepairID, serial: serial, protected: rep.Protected})
 	for i := range rep.Protected {
-		seq := rep.Protected[i].SequenceNumber
-		d.bySeq[seq] = append(d.bySeq[seq], rep.RepairID)
+		d.bySeq.Insert(rep.Protected[i].SequenceNumber, serial)
 	}
+	// The new group is the last slot; evict only advances head, so the
+	// pointer stays valid even if MaxGroups evicts the new group itself.
+	g := &d.groups[len(d.groups)-1]
 	d.evict()
 	return d.tryRecover(g)
+}
+
+// group returns the live group with the given serial.
+func (d *Decoder) group(serial uint32) *group {
+	return &d.groups[d.head+int(serial-d.headSerial)]
+}
+
+// pushGroup appends g, first sliding the live groups down when the
+// backing array is full and evicted slots sit in front of them.
+func (d *Decoder) pushGroup(g group) {
+	if len(d.groups) == cap(d.groups) && d.head > 0 {
+		n := copy(d.groups, d.groups[d.head:])
+		clear(d.groups[n:])
+		d.groups = d.groups[:n]
+		d.head = 0
+	}
+	d.groups = append(d.groups, g)
 }
 
 // tryRecover returns the single missing packet of g if exactly one is
@@ -171,12 +233,13 @@ func (d *Decoder) tryRecover(g *group) []*rtp.Packet {
 	}
 	missing := -1
 	for i := range g.protected {
-		if !d.received[g.protected[i].SequenceNumber] {
-			if missing >= 0 {
-				return nil // two or more missing: unrecoverable yet
-			}
-			missing = i
+		if d.has(g.protected[i].SequenceNumber) {
+			continue
 		}
+		if missing >= 0 {
+			return nil // two or more missing: unrecoverable yet
+		}
+		missing = i
 	}
 	g.done = true
 	if missing < 0 {
@@ -187,50 +250,46 @@ func (d *Decoder) tryRecover(g *group) []*rtp.Packet {
 	d.recovered++
 	out := []*rtp.Packet{&pkt}
 	// Recovering this packet may unblock sibling groups.
-	for _, gid := range d.bySeq[pkt.SequenceNumber] {
-		if sib, ok := d.groups[gid]; ok && sib != g {
-			out = append(out, d.tryRecover(sib)...)
+	seq := pkt.SequenceNumber
+	for p := d.bySeq.Find(seq); p >= 0; p = d.bySeq.FindNext(seq, p) {
+		if s := d.bySeq.Value(p); s != g.serial {
+			out = append(out, d.tryRecover(d.group(s))...)
 		}
 	}
 	return out
 }
 
+// has reports whether seq is in the received window.
+func (d *Decoder) has(seq uint16) bool {
+	return d.received != nil && d.received[seq>>6]&(1<<(seq&63)) != 0
+}
+
 func (d *Decoder) markReceived(seq uint16) {
-	if d.received[seq] {
+	if d.has(seq) {
 		return
 	}
-	d.received[seq] = true
-	d.seqOrder = append(d.seqOrder, seq)
-	// Bound the received set to a window comfortably larger than any
-	// plausible reordering span.
-	const maxSeqs = 4096
-	for len(d.seqOrder) > maxSeqs {
-		old := d.seqOrder[0]
-		d.seqOrder = d.seqOrder[1:]
-		delete(d.received, old)
+	if d.received == nil {
+		d.received = make([]uint64, 1<<16/64)
+		d.recvRing = make([]uint16, 0, receivedWindow)
 	}
+	d.received[seq>>6] |= 1 << (seq & 63)
+	if len(d.recvRing) < receivedWindow {
+		d.recvRing = append(d.recvRing, seq)
+		return
+	}
+	old := d.recvRing[d.recvNext]
+	d.received[old>>6] &^= 1 << (old & 63)
+	d.recvRing[d.recvNext] = seq
+	d.recvNext = (d.recvNext + 1) % receivedWindow
 }
 
 func (d *Decoder) evict() {
-	for len(d.order) > d.MaxGroups {
-		old := d.order[0]
-		d.order = d.order[1:]
-		if g, ok := d.groups[old]; ok {
-			for i := range g.protected {
-				seq := g.protected[i].SequenceNumber
-				ids := d.bySeq[seq][:0]
-				for _, id := range d.bySeq[seq] {
-					if id != old {
-						ids = append(ids, id)
-					}
-				}
-				if len(ids) == 0 {
-					delete(d.bySeq, seq)
-				} else {
-					d.bySeq[seq] = ids
-				}
-			}
-			delete(d.groups, old)
+	for len(d.groups)-d.head > d.MaxGroups {
+		g := &d.groups[d.head]
+		for i := range g.protected {
+			d.bySeq.Delete(g.protected[i].SequenceNumber, g.serial)
 		}
+		d.head++
+		d.headSerial++
 	}
 }

@@ -173,8 +173,16 @@ func TestDecoderEviction(t *testing.T) {
 		r := e.Add(mkPkt(seq+1, 100))
 		d.OnRepair(r)
 	}
-	if len(d.groups) > 4 {
-		t.Errorf("groups = %d, want <= 4", len(d.groups))
+	if live := len(d.groups) - d.head; live > 4 {
+		t.Errorf("live groups = %d, want <= 4", live)
+	}
+	// Evicted groups leave the seq index too, and the ring's backing
+	// array stops growing once it slides.
+	if d.bySeq.Len() != 8 {
+		t.Errorf("indexed seqs = %d, want 8 (4 groups of 2)", d.bySeq.Len())
+	}
+	if cap(d.groups) > 8 {
+		t.Errorf("group ring cap = %d, want <= 2*MaxGroups", cap(d.groups))
 	}
 }
 

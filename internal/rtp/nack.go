@@ -1,7 +1,7 @@
 package rtp
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -9,6 +9,13 @@ import (
 // emits NACK lists for feedback packets. Each missing sequence is
 // requested up to MaxRetries times with at least RetryInterval between
 // requests, then abandoned. Not safe for concurrent use.
+//
+// The missing set is a deque ordered oldest first. Gaps only ever open
+// ahead of the highest received sequence, so appending them in sequence
+// order keeps the deque sorted by age against that anchor (SeqAge), a
+// strict total order over the whole sequence space: Collect walks it
+// without sorting, abandoning the oldest entry pops the front, and
+// membership is a binary search by age.
 type NackGenerator struct {
 	// MaxRetries bounds requests per missing packet. Default 3.
 	MaxRetries int
@@ -19,9 +26,14 @@ type NackGenerator struct {
 	// abandoned beyond it. Default 256.
 	MaxTracked int
 
-	highest    uint16
-	started    bool
-	missing    map[uint16]*nackEntry
+	highest uint16
+	started bool
+	// missing[head:] is the missing set, oldest first.
+	missing []nackEntry
+	head    int
+	// lapped and out are scratch for OnPacket and Collect.
+	lapped     []nackEntry
+	out        []uint16
 	recovered  int
 	abandoned  int
 	duplicates int
@@ -30,6 +42,7 @@ type NackGenerator struct {
 type nackEntry struct {
 	lastAsked time.Duration
 	asks      int
+	seq       uint16
 	everAsked bool
 }
 
@@ -39,7 +52,6 @@ func NewNackGenerator() *NackGenerator {
 		MaxRetries:    3,
 		RetryInterval: 50 * time.Millisecond,
 		MaxTracked:    256,
-		missing:       make(map[uint16]*nackEntry),
 	}
 }
 
@@ -52,8 +64,8 @@ func (g *NackGenerator) OnPacket(seq uint16) {
 		g.highest = seq
 		return
 	}
-	if _, wasMissing := g.missing[seq]; wasMissing {
-		delete(g.missing, seq)
+	if i := g.seqFind(seq); i >= 0 {
+		g.remove(i)
 		g.recovered++
 		return
 	}
@@ -63,83 +75,109 @@ func (g *NackGenerator) OnPacket(seq uint16) {
 		return
 	}
 	// Register the gap (prev, seq) as missing. highest advances BEFORE
-	// the loop: abandonOldest measures age against g.highest, and with
+	// the loop: abandonment measures age against g.highest, and with
 	// the old anchor every just-inserted sequence (ahead of the old
 	// highest) would wrap around to look maximally old and be evicted
 	// in place of the genuinely stale entries.
 	prev := g.highest
 	g.highest = seq
+	span := SeqAge(seq, prev)
+	// Entries left over from a previous lap of the sequence space whose
+	// values fall inside the new gap are re-registered fresh, as a map
+	// keyed by sequence would overwrite them. They sit at the front (the
+	// oldest against prev) in gap order, and until re-registered they
+	// count toward MaxTracked as the youngest entries, never abandoned.
+	lapped := g.lapped[:0]
+	for g.head < len(g.missing) && SeqAge(seq, g.missing[g.head].seq) < span {
+		lapped = append(lapped, g.missing[g.head])
+		g.head++
+	}
+	pendingLapped := len(lapped)
 	for s := prev + 1; s != seq; s++ {
-		g.missing[s] = &nackEntry{}
-		if len(g.missing) > g.MaxTracked {
-			g.abandonOldest()
+		if pendingLapped > 0 && lapped[len(lapped)-pendingLapped].seq == s {
+			pendingLapped--
+		}
+		g.push(nackEntry{seq: s})
+		if g.Missing()+pendingLapped > g.MaxTracked {
+			g.head++ // abandon the oldest
+			g.abandoned++
 		}
 	}
+	g.lapped = lapped[:0]
 }
 
-// seqAge returns how far missing sequence s trails the highest received
-// sequence — SeqAge anchored at g.highest. Unlike a SeqLess-based
-// comparison, age against a single anchor induces a true total order
-// over the whole sequence space, so ordering stays correct even when an
-// entry has lingered through enough Collect cycles for the missing set
-// to straddle the 2^16 wrap by more than half the space.
-func (g *NackGenerator) seqAge(s uint16) uint16 { return SeqAge(g.highest, s) }
-
-// abandonOldest drops the missing entry that trails highest furthest
-// (wrap-aware).
-func (g *NackGenerator) abandonOldest() {
-	var oldest uint16
-	var oldestAge uint16
-	first := true
-	for s := range g.missing {
-		if age := g.seqAge(s); first || age > oldestAge {
-			oldest, oldestAge = s, age
-			first = false
+// seqFind returns the index in g.missing of the entry for seq, or -1:
+// a binary search over the deque's strictly decreasing ages.
+func (g *NackGenerator) seqFind(seq uint16) int {
+	age := SeqAge(g.highest, seq)
+	lo, hi := g.head, len(g.missing)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if SeqAge(g.highest, g.missing[mid].seq) > age {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	if !first {
-		delete(g.missing, oldest)
-		g.abandoned++
+	if lo < len(g.missing) && g.missing[lo].seq == seq {
+		return lo
 	}
+	return -1
 }
 
-// Collect returns the sequences to NACK at time now, respecting retry
-// limits. Sequences that exhausted their retries are abandoned. Missing
-// sequences are visited in wrap-aware order so retry bookkeeping and
-// abandonment are independent of map iteration order.
+// remove deletes g.missing[i], keeping the order.
+func (g *NackGenerator) remove(i int) {
+	if i == g.head {
+		g.head++
+		return
+	}
+	copy(g.missing[i:], g.missing[i+1:])
+	g.missing = g.missing[:len(g.missing)-1]
+}
+
+// push appends e, first sliding the live entries down when the backing
+// array is full and abandoned entries sit in front of them.
+func (g *NackGenerator) push(e nackEntry) {
+	if len(g.missing) == cap(g.missing) && g.head > 0 {
+		n := copy(g.missing, g.missing[g.head:])
+		g.missing = g.missing[:n]
+		g.head = 0
+	}
+	g.missing = append(g.missing, e)
+}
+
+// Collect returns the sequences to NACK at time now, oldest first,
+// respecting retry limits. Sequences that exhausted their retries are
+// abandoned. The list is built in a reused scratch and returned as a
+// caller-owned copy (a report carries it across the reverse link while
+// later Collects run), or nil when there is nothing to request.
 func (g *NackGenerator) Collect(now time.Duration) []uint16 {
-	seqs := make([]uint16, 0, len(g.missing))
-	for s := range g.missing {
-		seqs = append(seqs, s)
-	}
-	// Oldest first, by age against the highest-received anchor. Ages are
-	// distinct (sequences are map keys), so this is a strict total order
-	// regardless of how far the set straddles the 2^16 wrap; a SeqLess
-	// comparator would go non-transitive past half the sequence space
-	// and leave the visit order at the sort algorithm's mercy.
-	sort.Slice(seqs, func(i, j int) bool { return g.seqAge(seqs[i]) > g.seqAge(seqs[j]) })
-
-	var out []uint16
-	for _, s := range seqs {
-		e := g.missing[s]
+	out := g.out[:0]
+	kept := g.missing[:0]
+	for _, e := range g.missing[g.head:] {
 		if e.asks >= g.MaxRetries {
-			delete(g.missing, s)
 			g.abandoned++
 			continue
 		}
-		if e.everAsked && now-e.lastAsked < g.RetryInterval {
-			continue
+		if !e.everAsked || now-e.lastAsked >= g.RetryInterval {
+			e.asks++
+			e.lastAsked = now
+			e.everAsked = true
+			out = append(out, e.seq)
 		}
-		e.asks++
-		e.lastAsked = now
-		e.everAsked = true
-		out = append(out, s)
+		kept = append(kept, e)
 	}
-	return out
+	g.missing = kept
+	g.head = 0
+	g.out = out
+	if len(out) == 0 {
+		return nil
+	}
+	return slices.Clone(out)
 }
 
 // Missing returns the current number of outstanding missing sequences.
-func (g *NackGenerator) Missing() int { return len(g.missing) }
+func (g *NackGenerator) Missing() int { return len(g.missing) - g.head }
 
 // Recovered returns how many missing sequences later arrived.
 func (g *NackGenerator) Recovered() int { return g.recovered }
@@ -147,20 +185,23 @@ func (g *NackGenerator) Recovered() int { return g.recovered }
 // Abandoned returns how many sequences were given up on.
 func (g *NackGenerator) Abandoned() int { return g.abandoned }
 
-// RtxBuffer is the sender-side retransmission store: a bounded ring of
-// recently sent media packets keyed by RTP sequence number. Not safe for
+// RtxBuffer is the sender-side retransmission store: the last cap
+// distinct sequence numbers stored, in a ring kept in insertion order,
+// with a SeqIndex from sequence number to ring slot. Re-storing a
+// buffered sequence replaces its packet in place; a sequence stored
+// again after it was evicted (a retransmission clone the pacer held past
+// cap newer sends) is a new entry and evicts the oldest. Not safe for
 // concurrent use.
-//
-// order is a true circular buffer: head indexes the oldest stored
-// sequence and eviction overwrites in place. (It was once advanced by
-// re-slicing `order = order[1:]`, which walks the slice window down its
-// backing array and forces a fresh allocation every cap stores —
-// unbounded append/copy churn on the steady-state send path.)
 type RtxBuffer struct {
 	cap   int
-	bySeq map[uint16]*Packet
-	order []uint16
+	ring  []rtxSlot
 	head  int
+	index SeqIndex
+}
+
+type rtxSlot struct {
+	pkt *Packet
+	seq uint16
 }
 
 // NewRtxBuffer returns a buffer holding up to capacity packets (default
@@ -169,31 +210,41 @@ func NewRtxBuffer(capacity int) *RtxBuffer {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	return &RtxBuffer{cap: capacity, bySeq: make(map[uint16]*Packet)}
+	return &RtxBuffer{cap: capacity}
 }
 
 // Store remembers a sent packet for possible retransmission, evicting
 // the oldest stored packet once the buffer is full.
 func (b *RtxBuffer) Store(pkt *Packet) {
-	if _, exists := b.bySeq[pkt.SequenceNumber]; exists {
-		b.bySeq[pkt.SequenceNumber] = pkt
+	seq := pkt.SequenceNumber
+	if p := b.index.Find(seq); p >= 0 {
+		b.ring[b.index.Value(p)].pkt = pkt
 		return
 	}
-	if len(b.order) < b.cap {
-		b.order = append(b.order, pkt.SequenceNumber)
+	if b.ring == nil {
+		b.ring = make([]rtxSlot, 0, b.cap)
+		b.index.Reserve(b.cap)
+	}
+	slot := len(b.ring)
+	if slot < b.cap {
+		b.ring = append(b.ring, rtxSlot{})
 	} else {
-		delete(b.bySeq, b.order[b.head])
-		b.order[b.head] = pkt.SequenceNumber
+		slot = b.head
+		b.index.Delete(b.ring[slot].seq, uint32(slot))
 		b.head = (b.head + 1) % b.cap
 	}
-	b.bySeq[pkt.SequenceNumber] = pkt
+	b.ring[slot] = rtxSlot{pkt: pkt, seq: seq}
+	b.index.Insert(seq, uint32(slot))
 }
 
 // Get returns the stored packet for seq, if still buffered.
 func (b *RtxBuffer) Get(seq uint16) (*Packet, bool) {
-	p, ok := b.bySeq[seq]
-	return p, ok
+	p := b.index.Find(seq)
+	if p < 0 {
+		return nil, false
+	}
+	return b.ring[b.index.Value(p)].pkt, true
 }
 
 // Len returns the number of buffered packets.
-func (b *RtxBuffer) Len() int { return len(b.bySeq) }
+func (b *RtxBuffer) Len() int { return len(b.ring) }

@@ -290,30 +290,33 @@ func TestRtxBufferOverwrite(t *testing.T) {
 }
 
 // TestRtxBufferRingEviction pins FIFO eviction across many wraps of the
-// circular order buffer, and that the buffer's backing array stops
-// growing once full (the re-slicing implementation it replaces walked
-// its window down the array and reallocated every cap stores).
+// insertion-order ring (and across the 2^16 sequence wrap), and that
+// neither the ring nor its seq index grows once full (a re-slicing ring
+// walks its window down the array and reallocates every cap stores).
 func TestRtxBufferRingEviction(t *testing.T) {
 	b := NewRtxBuffer(4)
 	for i := 0; i < 4; i++ {
 		b.Store(&Packet{Header: Header{Version: 2, SequenceNumber: uint16(i)}})
 	}
-	c0 := cap(b.order)
-	for i := 4; i < 10_000; i++ {
+	c0, slots0 := cap(b.ring), len(b.index.slots)
+	const n = 70_000 // past the 2^16 wrap
+	for i := 4; i < n; i++ {
 		b.Store(&Packet{Header: Header{Version: 2, SequenceNumber: uint16(i)}})
 	}
-	if cap(b.order) != c0 || len(b.order) != 4 {
-		t.Errorf("order ring churned: len=%d cap=%d, want len=4 cap=%d", len(b.order), cap(b.order), c0)
+	if cap(b.ring) != c0 || len(b.ring) != 4 || len(b.index.slots) != slots0 || b.index.Len() != 4 {
+		t.Errorf("ring churned: len=%d cap=%d index=%d/%d, want len=4 cap=%d index=4/%d",
+			len(b.ring), cap(b.ring), b.index.Len(), len(b.index.slots), c0, slots0)
 	}
 	if b.Len() != 4 {
 		t.Fatalf("len = %d, want 4", b.Len())
 	}
-	for seq := 9996; seq < 10_000; seq++ {
+	for seq := n - 4; seq < n; seq++ {
 		if _, ok := b.Get(uint16(seq)); !ok {
 			t.Errorf("newest-4 packet %d missing", seq)
 		}
 	}
-	if _, ok := b.Get(uint16(9995)); ok {
+	evicted := n - 5
+	if _, ok := b.Get(uint16(evicted)); ok {
 		t.Error("5th-newest packet survived eviction")
 	}
 }

@@ -167,9 +167,14 @@ func (f CompleteFrame) OneWayDelay() time.Duration { return f.Arrival - f.Captur
 // use.
 //
 // Per-frame tracking records are pooled and fragment presence is a bitset,
-// so steady-state reassembly does not allocate.
+// so steady-state reassembly does not allocate. The waiting frames sit in
+// a slice keyed inline by frame id, oldest first, and a lookup scans it
+// from the newest end. Expiry runs when a frame completes, so the slice
+// holds at most Horizon frames at or behind the newest completed one plus
+// the frames begun since (a handful in a live session); a stream in which
+// no frame completes grows it without bound.
 type Reassembler struct {
-	pending map[uint32]*pendingFrame
+	pending []pendingRef
 	// Horizon is how far behind the newest completed frame a pending
 	// frame may lag before it is declared lost. Default 64 frames.
 	Horizon   uint32
@@ -179,6 +184,11 @@ type Reassembler struct {
 
 	free          []*pendingFrame
 	expireScratch []uint32
+}
+
+type pendingRef struct {
+	id uint32
+	pf *pendingFrame
 }
 
 type pendingFrame struct {
@@ -226,15 +236,28 @@ func (r *Reassembler) release(pf *pendingFrame) {
 
 // NewReassembler returns an empty reassembler.
 func NewReassembler() *Reassembler {
-	return &Reassembler{pending: make(map[uint32]*pendingFrame), Horizon: 64}
+	return &Reassembler{Horizon: 64}
+}
+
+// find returns the index in r.pending of frame id, or -1.
+func (r *Reassembler) find(id uint32) int {
+	for i := len(r.pending) - 1; i >= 0; i-- {
+		if r.pending[i].id == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Push adds a received packet. If the packet completes its frame, the
 // complete frame is returned with ok=true.
 func (r *Reassembler) Push(pkt *Packet, arrival time.Duration) (CompleteFrame, bool) {
 	id := pkt.Ext.FrameID
-	pf, exists := r.pending[id]
-	if !exists {
+	var pf *pendingFrame
+	at := r.find(id)
+	if at >= 0 {
+		pf = r.pending[at].pf
+	} else {
 		pf = r.acquire()
 		pf.frame = CompleteFrame{
 			FrameID:       id,
@@ -243,7 +266,8 @@ func (r *Reassembler) Push(pkt *Packet, arrival time.Duration) (CompleteFrame, b
 			CaptureTS:     pkt.Ext.CaptureTS,
 			FirstArrival:  arrival,
 		}
-		r.pending[id] = pf
+		at = len(r.pending)
+		r.pending = append(r.pending, pendingRef{id: id, pf: pf})
 	}
 	if pf.has(pkt.Ext.FragIndex) {
 		return CompleteFrame{}, false // duplicate
@@ -264,7 +288,9 @@ func (r *Reassembler) Push(pkt *Packet, arrival time.Duration) (CompleteFrame, b
 	// the pool.
 	pf.frame.Packets = pf.gotCount
 	frame := pf.frame
-	delete(r.pending, id)
+	copy(r.pending[at:], r.pending[at+1:])
+	r.pending[len(r.pending)-1] = pendingRef{}
+	r.pending = r.pending[:len(r.pending)-1]
 	r.release(pf)
 	if !r.hasNewest || id > r.newestID {
 		r.newestID = id
@@ -275,29 +301,30 @@ func (r *Reassembler) Push(pkt *Packet, arrival time.Duration) (CompleteFrame, b
 }
 
 // expire abandons pending frames that fell behind the horizon. Expired
-// ids are recorded in ascending order so the Lost() report does not
-// depend on map iteration order.
+// ids are recorded in ascending order, whatever order the frames began
+// arriving in.
 func (r *Reassembler) expire() {
 	if !r.hasNewest {
 		return
 	}
 	expired := r.expireScratch[:0]
-	for id := range r.pending {
-		if id+r.Horizon < r.newestID {
-			expired = append(expired, id)
+	kept := r.pending[:0]
+	for _, p := range r.pending {
+		if p.id+r.Horizon < r.newestID {
+			expired = append(expired, p.id)
+			r.release(p.pf)
+			continue
 		}
+		kept = append(kept, p)
 	}
+	clear(r.pending[len(kept):])
+	r.pending = kept
 	if len(expired) > 1 {
 		// Guarded so the common no-expiry path skips the closure that
 		// sort.Slice materializes.
 		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 	}
-	for _, id := range expired {
-		pf := r.pending[id]
-		delete(r.pending, id)
-		r.release(pf)
-		r.lost = append(r.lost, id)
-	}
+	r.lost = append(r.lost, expired...)
 	r.expireScratch = expired[:0]
 }
 

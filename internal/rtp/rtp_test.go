@@ -272,6 +272,38 @@ func TestReassemblerExpiresStaleFrames(t *testing.T) {
 	}
 }
 
+// TestReassemblerPendingBound pins the bound on waiting frames under
+// fragment loss: at most Horizon frames at or behind the newest completed
+// frame plus the frames begun since it.
+func TestReassemblerPendingBound(t *testing.T) {
+	pz := NewPacketizer(1, 96, 1000)
+	r := NewReassembler()
+	r.Horizon = 8
+	rng := uint64(7)
+	next := func() uint64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return rng >> 33
+	}
+	newest, most := -1, 0
+	for i := 0; i < 3000; i++ {
+		for _, p := range pz.Packetize(encFrame(i, 500+int(next()%7500), codec.TypeP)) {
+			if next()%100 < 15 {
+				continue // lost
+			}
+			if f, ok := r.Push(p, time.Duration(i)*time.Millisecond); ok && int(f.FrameID) > newest {
+				newest = int(f.FrameID)
+			}
+		}
+		if bound := int(r.Horizon) + i - newest; r.PendingFrames() > bound {
+			t.Fatalf("frame %d: %d pending, bound %d (newest completed %d)", i, r.PendingFrames(), bound, newest)
+		}
+		most = max(most, r.PendingFrames())
+	}
+	if most > 4*int(r.Horizon) {
+		t.Fatalf("pending reached %d frames, want a few horizons at most", most)
+	}
+}
+
 // Property: packetize → shuffle → reassemble yields the original byte count
 // for any frame size.
 func TestPacketizeReassembleProperty(t *testing.T) {

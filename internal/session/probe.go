@@ -107,7 +107,7 @@ func (pc *probeController) onResults(results []fb.PacketResult) {
 		}
 		if r.Lost {
 			// A lost probe invalidates the cluster.
-			pc.pending = make(map[uint32]time.Duration)
+			clear(pc.pending)
 			return
 		}
 		pc.pending[r.TransportSeq] = r.Arrival
@@ -129,7 +129,7 @@ func (pc *probeController) onResults(results []fb.PacketResult) {
 		bytes += 1200 + rtp.IPUDPOverhead + rtp.HeaderSize + rtp.ExtensionSize
 		n++
 	}
-	pc.pending = make(map[uint32]time.Duration)
+	clear(pc.pending)
 	if n < 2 || last <= first {
 		return
 	}

@@ -274,9 +274,16 @@ func (h *Histogram) BucketMid(i int) float64 {
 
 // LinReg is an online simple linear regression y = a + b*x over a sliding
 // window of at most N points. It is the core of the GCC trendline filter.
+//
+// The window is xs[head:] (and ys[head:]): eviction advances head, and an
+// Add that finds the backing arrays full slides the window back to the
+// front in place, so a warm regression never allocates. (Re-slicing
+// `xs = xs[1:]` instead walks the window down its backing array and
+// reallocates it every few window lengths.)
 type LinReg struct {
 	window int
 	xs, ys []float64
+	head   int
 }
 
 // NewLinReg returns a regression over the last window points. window must be
@@ -290,34 +297,44 @@ func NewLinReg(window int) *LinReg {
 
 // Add inserts a point, evicting the oldest when the window is full.
 func (r *LinReg) Add(x, y float64) {
+	if len(r.xs) == cap(r.xs) {
+		if r.head == 0 {
+			r.xs = append(make([]float64, 0, 2*r.window), r.xs...)
+			r.ys = append(make([]float64, 0, 2*r.window), r.ys...)
+		} else {
+			r.xs = r.xs[:copy(r.xs, r.xs[r.head:])]
+			r.ys = r.ys[:copy(r.ys, r.ys[r.head:])]
+			r.head = 0
+		}
+	}
 	r.xs = append(r.xs, x)
 	r.ys = append(r.ys, y)
-	if len(r.xs) > r.window {
-		r.xs = r.xs[1:]
-		r.ys = r.ys[1:]
+	if len(r.xs)-r.head > r.window {
+		r.head++
 	}
 }
 
 // Len returns the number of points currently in the window.
-func (r *LinReg) Len() int { return len(r.xs) }
+func (r *LinReg) Len() int { return len(r.xs) - r.head }
 
 // Slope returns the least-squares slope b and true, or 0 and false when
 // fewer than two points (or zero x-variance) are available.
 func (r *LinReg) Slope() (float64, bool) {
-	n := len(r.xs)
+	xs, ys := r.xs[r.head:], r.ys[r.head:]
+	n := len(xs)
 	if n < 2 {
 		return 0, false
 	}
 	var sx, sy float64
 	for i := 0; i < n; i++ {
-		sx += r.xs[i]
-		sy += r.ys[i]
+		sx += xs[i]
+		sy += ys[i]
 	}
 	mx, my := sx/float64(n), sy/float64(n)
 	var num, den float64
 	for i := 0; i < n; i++ {
-		dx := r.xs[i] - mx
-		num += dx * (r.ys[i] - my)
+		dx := xs[i] - mx
+		num += dx * (ys[i] - my)
 		den += dx * dx
 	}
 	if den == 0 {
@@ -327,14 +344,21 @@ func (r *LinReg) Slope() (float64, bool) {
 }
 
 // Reset drops all points.
-func (r *LinReg) Reset() { r.xs = r.xs[:0]; r.ys = r.ys[:0] }
+func (r *LinReg) Reset() { r.xs = r.xs[:0]; r.ys = r.ys[:0]; r.head = 0 }
 
 // RateMeter measures a rate (e.g. acknowledged bitrate) over a sliding time
 // window from (timestamp, amount) samples. Timestamps are float64 seconds.
+//
+// The samples in the window are times[head:] and amounts[head:], kept
+// like LinReg's: eviction advances head, and an Add that finds the
+// backing arrays full makes room with slide. Each sample is copied O(1)
+// times however the window's population moves, and the arrays stay
+// within a small factor of the window they hold.
 type RateMeter struct {
 	window  float64 // seconds
 	times   []float64
 	amounts []float64
+	head    int
 	total   float64
 }
 
@@ -349,22 +373,41 @@ func NewRateMeter(windowSec float64) *RateMeter {
 // Add records amount observed at time t (seconds). Times must be
 // non-decreasing.
 func (m *RateMeter) Add(t, amount float64) {
+	if len(m.times) == cap(m.times) && m.head > 0 {
+		m.slide()
+	}
 	m.times = append(m.times, t)
 	m.amounts = append(m.amounts, amount)
 	m.total += amount
 	m.evict(t)
 }
 
+// rateMeterMinCap is the smallest backing array slide shrinks to.
+const rateMeterMinCap = 16
+
+// slide moves the window to the front of full backing arrays. It does so
+// in place when at least half of them is evicted samples and the window
+// still fills a quarter; otherwise it moves the window into fresh arrays
+// twice its length, so the arrays grow with the window and give memory
+// back after the window shrinks (a rate drop, a feedback gap).
+func (m *RateMeter) slide() {
+	size, n := len(m.times), len(m.times)-m.head
+	if 2*n > size || (4*n <= size && size > rateMeterMinCap) {
+		c := max(2*n, rateMeterMinCap)
+		m.times = append(make([]float64, 0, c), m.times[m.head:]...)
+		m.amounts = append(make([]float64, 0, c), m.amounts[m.head:]...)
+	} else {
+		m.times = m.times[:copy(m.times, m.times[m.head:])]
+		m.amounts = m.amounts[:copy(m.amounts, m.amounts[m.head:])]
+	}
+	m.head = 0
+}
+
 func (m *RateMeter) evict(now float64) {
 	cut := now - m.window
-	i := 0
-	for i < len(m.times) && m.times[i] < cut {
-		m.total -= m.amounts[i]
-		i++
-	}
-	if i > 0 {
-		m.times = m.times[i:]
-		m.amounts = m.amounts[i:]
+	for m.head < len(m.times) && m.times[m.head] < cut {
+		m.total -= m.amounts[m.head]
+		m.head++
 	}
 }
 
@@ -372,10 +415,10 @@ func (m *RateMeter) evict(now float64) {
 // With no samples in the window it returns zero.
 func (m *RateMeter) Rate(t float64) float64 {
 	m.evict(t)
-	if len(m.times) == 0 {
+	if m.head == len(m.times) {
 		return 0
 	}
-	span := t - m.times[0]
+	span := t - m.times[m.head]
 	if span < m.window/2 {
 		span = m.window / 2 // avoid wild rates from a near-empty window
 	}
